@@ -942,7 +942,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let base = catalog(2_000, 6);
 
         // (a) Recovery wall time.  Build a fleet, crash it (SIGKILL
-        // semantics: manifest says live, lockfile left), then time
+        // semantics: journals left open, lockfile left), then time
         // Server::new + recover_fleet on the same directory.
         for sessions in [1usize, 4, 16, 64] {
             let dir = scratch(&format!("recover_{sessions}"));

@@ -334,21 +334,6 @@ impl Session {
         self.engine.set_fault_plan(plan);
     }
 
-    /// Demand a node output under a one-shot budget, leaving the
-    /// session's standing budget untouched.
-    pub fn demand_with_budget(
-        &mut self,
-        node: NodeId,
-        port: usize,
-        budget: Budget,
-    ) -> Result<Displayable, CoreError> {
-        let prev = self.engine.budget().cloned();
-        self.engine.set_budget(Some(budget));
-        let result = self.engine.demand_displayable(&self.graph, node, port);
-        self.engine.set_budget(prev);
-        Ok(result?)
-    }
-
     // ----------------------------------------- session event journal
 
     /// The session's event journal.  Shared with the engine, which
@@ -1547,7 +1532,15 @@ impl Session {
     /// render of that canvas executes.
     pub fn explain_analyze(&mut self, node: NodeId, port: usize) -> Result<String, CoreError> {
         self.arm_demand();
-        let window = self.window_pred_for(node, port)?;
+        let canvas = self
+            .canvases
+            .iter()
+            .find(|(_, c)| port == 0 && c.node == node && c.fitted)
+            .map(|(name, _)| name.clone());
+        let window = match canvas {
+            Some(canvas) => self.window_pred(&canvas)?,
+            None => None,
+        };
         match self.engine.demand_analyzed(&self.graph, node, port, true, window.as_ref()) {
             Ok((_, Some(t))) => Ok(t.render()),
             Ok((_, None)) => {
@@ -1564,28 +1557,6 @@ impl Session {
                 Err(e.into())
             }
         }
-    }
-
-    /// The window predicate a render of this output would push down, if
-    /// the node is a fitted canvas viewer in lazy mode.
-    fn window_pred_for(
-        &mut self,
-        node: NodeId,
-        port: usize,
-    ) -> Result<Option<tioga2_expr::Expr>, CoreError> {
-        if port != 0 || self.mode != EvalMode::Lazy {
-            return Ok(None);
-        }
-        let canvas = self
-            .canvases
-            .iter()
-            .find(|(_, c)| c.node == node && c.fitted)
-            .map(|(name, _)| name.clone());
-        let Some(canvas) = canvas else { return Ok(None) };
-        let Some(hdr) = self.engine.plan_root_header(&self.graph, node, 0)? else {
-            return Ok(None);
-        };
-        Ok(self.viewers.get(&canvas).ok().and_then(|v| tioga2_viewer::window_predicate(v, &hdr)))
     }
 
     /// The engine's ring of recently traced demands (newest last).
@@ -1743,6 +1714,9 @@ impl Session {
                     0,
                     format!("{} undo levels", s.undo_past.len()),
                 ),
+                SessionEvent::Lifecycle { state, tenant } => {
+                    (state.clone(), String::new(), 0, 0, tenant.clone())
+                }
             };
             events = events.row(vec![
                 Value::Int(seq as i64),
@@ -1809,7 +1783,18 @@ impl Session {
 
     fn render_inner(&mut self, canvas: &str) -> Result<CanvasFrame, CoreError> {
         self.arm_demand();
-        let content = self.windowed_displayable(canvas)?;
+        // The window pushdown only avoids materializing off-screen
+        // tuples: the composed scene is identical either way.
+        let content = match self.window_pred(canvas)? {
+            Some(pred) => {
+                let node = self.canvas_node(canvas)?;
+                self.engine
+                    .demand_planned_opts(&self.graph, node, 0, true, Some(&pred))?
+                    .into_displayable()
+                    .map_err(FlowError::from)?
+            }
+            None => self.displayable(canvas)?,
+        };
         let c = self
             .canvases
             .get_mut(canvas)
@@ -1817,32 +1802,19 @@ impl Session {
         c.render_recorded(canvas, &content, &mut self.viewers, self.recorder.as_ref())
     }
 
-    /// The canvas content with the viewer's window (visible bounds +
-    /// slider ranges) pushed into the demanded plan, when that is sound:
-    /// lazy mode, an already-fitted canvas, a planned relational chain,
-    /// and a position-independent layout.  Falls back to the ordinary
-    /// memoized demand otherwise — the composed scene is identical either
-    /// way, the pushdown only avoids materializing off-screen tuples.
-    fn windowed_displayable(&mut self, canvas: &str) -> Result<Displayable, CoreError> {
-        let node = self.canvas_node(canvas)?;
-        let fitted = self.canvases.get(canvas).is_some_and(|c| c.fitted);
-        if self.mode == EvalMode::Lazy && fitted {
-            if let Some(hdr) = self.engine.plan_root_header(&self.graph, node, 0)? {
-                let pred = self
-                    .viewers
-                    .get(canvas)
-                    .ok()
-                    .and_then(|v| tioga2_viewer::window_predicate(v, &hdr));
-                if let Some(pred) = pred {
-                    return Ok(self
-                        .engine
-                        .demand_planned_opts(&self.graph, node, 0, true, Some(&pred))?
-                        .into_displayable()
-                        .map_err(FlowError::from)?);
-                }
-            }
-        }
-        self.displayable(canvas)
+    /// The window predicate (visible bounds + slider ranges) a render of
+    /// `canvas` pushes into its demanded plan, when that is sound: lazy
+    /// mode, an already-fitted canvas, a planned relational chain, and a
+    /// position-independent layout.
+    fn window_pred(&mut self, canvas: &str) -> Result<Option<tioga2_expr::Expr>, CoreError> {
+        let fitted = self.canvases.get(canvas).filter(|c| c.fitted);
+        let Some(node) = fitted.map(|c| c.node).filter(|_| self.mode == EvalMode::Lazy) else {
+            return Ok(None);
+        };
+        let Some(hdr) = self.engine.plan_root_header(&self.graph, node, 0)? else {
+            return Ok(None);
+        };
+        Ok(self.viewers.get(canvas).ok().and_then(|v| tioga2_viewer::window_predicate(v, &hdr)))
     }
 
     fn ensure_fitted(&mut self, canvas: &str) -> Result<(), CoreError> {

@@ -228,10 +228,6 @@ impl Engine {
         self.budget = budget;
     }
 
-    pub fn budget(&self) -> Option<&Budget> {
-        self.budget.as_ref()
-    }
-
     /// Install (or clear) a fault plan scoped to this engine alone; when
     /// unset, demands consult the process-global registry instead.
     pub fn set_fault_plan(&mut self, plan: Option<fault::FaultPlan>) {
@@ -863,30 +859,12 @@ impl Engine {
             record = seq.is_multiple_of(TRACE_SAMPLE_PERIOD);
         }
 
-        // Evaluate the boundaries through the normal memoized path.  A
-        // non-relational boundary means the chain is not actually R
+        // A non-relational boundary means the chain is not actually R
         // shaped; fall back to box-at-a-time.
-        let mut srcs = plan::SourceMap::new();
         let mut src_memo: HashMap<(NodeId, usize), CacheStatus> = HashMap::new();
-        for (n, p) in plan.sources() {
-            let evals_before = self.stats.box_evals;
-            match self.demand(graph, n, p)? {
-                Data::D(Displayable::R(dr)) => {
-                    if record {
-                        // Nothing fired => the boundary cone was fully
-                        // memoized.
-                        let status = if self.stats.box_evals == evals_before {
-                            CacheStatus::Hit
-                        } else {
-                            CacheStatus::Miss
-                        };
-                        src_memo.insert((n, p), status);
-                    }
-                    srcs.insert((n, p), dr);
-                }
-                _ => return Ok((self.demand(graph, node, port)?, None)),
-            }
-        }
+        let Some(srcs) = self.load_sources(graph, &plan, record.then_some(&mut src_memo))? else {
+            return Ok((self.demand(graph, node, port)?, None));
+        };
 
         // Display metadata is replayed from the *original* plan; the
         // rewriter only has to preserve stored tuple contents.
@@ -909,14 +887,8 @@ impl Engine {
             meter: self.meter.clone(),
             faults: self.faults.clone().or_else(fault::current),
         };
-        let result = plan::execute_governed(
-            &exec_plan,
-            &final_header,
-            &srcs,
-            self.threads,
-            attr.as_ref(),
-            &gov,
-        );
+        let result =
+            plan::execute(&exec_plan, &final_header, &srcs, self.threads, attr.as_ref(), &gov);
         if let Ok((_, es)) = &result {
             if es.par_segments > 0 {
                 self.recorder.add("plan.parallel.segments", es.par_segments);
@@ -1016,16 +988,10 @@ impl Engine {
         if plan.is_source() {
             return Ok(None);
         }
-        let mut srcs = plan::SourceMap::new();
-        for (n, p) in plan.sources() {
-            match self.demand(graph, n, p)? {
-                Data::D(Displayable::R(dr)) => {
-                    srcs.insert((n, p), dr);
-                }
-                _ => return Ok(None),
-            }
+        match self.load_sources(graph, &plan, None)? {
+            Some(srcs) => Ok(Some(plan::header_of(&plan, &srcs)?)),
+            None => Ok(None),
         }
-        Ok(Some(plan::header_of(&plan, &srcs)?))
     }
 
     /// Render the plan for `(node, port)`: the lowered chain, the rules
@@ -1040,20 +1006,12 @@ impl Engine {
         if plan.is_source() {
             return Ok(format!("{node}.{port}: single box, no relational chain to plan\n"));
         }
-        let mut srcs = plan::SourceMap::new();
-        for (n, p) in plan.sources() {
-            match self.demand(graph, n, p)? {
-                Data::D(Displayable::R(dr)) => {
-                    srcs.insert((n, p), dr);
-                }
-                _ => {
-                    return Ok(format!(
-                        "{node}.{port}: chain feeds non-relational data; planned \
-                         execution does not apply\n"
-                    ))
-                }
-            }
-        }
+        let Some(srcs) = self.load_sources(graph, &plan, None)? else {
+            return Ok(format!(
+                "{node}.{port}: chain feeds non-relational data; planned \
+                 execution does not apply\n"
+            ));
+        };
         let (opt, rw) = plan::rewrite(plan.clone(), &srcs);
         let mut out = format!("plan for {node}.{port}:\n{}", plan.pretty(graph));
         if rw.counts.is_empty() {
@@ -1066,6 +1024,31 @@ impl Engine {
             out.push_str(&format!("optimized:\n{}", opt.pretty(graph)));
         }
         Ok(out)
+    }
+
+    /// Demand every boundary of `plan` through the normal memoized path.
+    /// `None` when a boundary is not relational (the chain is not
+    /// actually R shaped).  With `memo`, records per boundary whether its
+    /// cone was fully memoized (nothing fired).
+    fn load_sources(
+        &mut self,
+        graph: &Graph,
+        plan: &plan::Plan,
+        mut memo: Option<&mut HashMap<(NodeId, usize), CacheStatus>>,
+    ) -> Result<Option<plan::SourceMap>, FlowError> {
+        let mut srcs = plan::SourceMap::new();
+        for (n, p) in plan.sources() {
+            let evals_before = self.stats.box_evals;
+            let Data::D(Displayable::R(dr)) = self.demand(graph, n, p)? else {
+                return Ok(None);
+            };
+            if let Some(memo) = memo.as_deref_mut() {
+                let hit = self.stats.box_evals == evals_before;
+                memo.insert((n, p), if hit { CacheStatus::Hit } else { CacheStatus::Miss });
+            }
+            srcs.insert((n, p), dr);
+        }
+        Ok(Some(srcs))
     }
 
     fn signature(

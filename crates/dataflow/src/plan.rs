@@ -995,47 +995,18 @@ impl ExecGov {
 /// Run `exec_plan` as a streaming pipeline and dress the collected tuples
 /// in the display header replayed from `final_header` (the *original*
 /// plan's root header, so rewrites cannot perturb display metadata).
+///
+/// Eligible scan-to-top segments run partition-parallel when
+/// `threads > 1`, with output tuple-for-tuple identical to the serial
+/// pipeline.  With `attr` set, every operator's output stream is routed
+/// through its mirror node's cell (exact rows; pull time sampled every
+/// Nth tuple), eager operators (Sort, Join) charge their wall time
+/// directly, and parallel segments flush thread-invariant merged counts
+/// plus the slowest worker's wall time into the chain's cells.  Under
+/// `gov`, streams charge the demand's budget meter at the scan, parallel
+/// workers checkpoint it in their partition loops, and tagged fault
+/// sites consult the armed [`FaultPlan`].
 pub fn execute(
-    exec_plan: &Plan,
-    final_header: &DisplayRelation,
-    srcs: &SourceMap,
-) -> Result<DisplayRelation, FlowError> {
-    execute_opts(exec_plan, final_header, srcs, 1).map(|(out, _)| out)
-}
-
-/// [`execute`] with an explicit worker count: eligible scan-to-top
-/// segments run partition-parallel when `threads > 1`, with output
-/// tuple-for-tuple identical to the serial pipeline.
-pub fn execute_opts(
-    exec_plan: &Plan,
-    final_header: &DisplayRelation,
-    srcs: &SourceMap,
-    threads: usize,
-) -> Result<(DisplayRelation, ExecStats), FlowError> {
-    execute_attr(exec_plan, final_header, srcs, threads, None)
-}
-
-/// [`execute_opts`] feeding an attribution tree.  With `attr` set, every
-/// operator's output stream is routed through its mirror node's cell
-/// (exact rows; pull time sampled every Nth tuple), eager operators
-/// (Sort, Join) charge their wall time directly, and parallel segments
-/// flush thread-invariant merged counts plus the slowest worker's wall
-/// time into the chain's cells.
-pub fn execute_attr(
-    exec_plan: &Plan,
-    final_header: &DisplayRelation,
-    srcs: &SourceMap,
-    threads: usize,
-    attr: Option<&AttrNode>,
-) -> Result<(DisplayRelation, ExecStats), FlowError> {
-    execute_governed(exec_plan, final_header, srcs, threads, attr, &ExecGov::default())
-}
-
-/// [`execute_attr`] under a governance context: streams charge the
-/// demand's budget meter at the scan, parallel workers checkpoint it in
-/// their partition loops, and tagged fault sites consult the armed
-/// [`FaultPlan`].
-pub fn execute_governed(
     exec_plan: &Plan,
     final_header: &DisplayRelation,
     srcs: &SourceMap,

@@ -58,6 +58,12 @@ fn trip_io_fault(site: &str, coord: u64) -> Result<(), String> {
     }
 }
 
+/// [`SessionEvent::Lifecycle`] states: a daemon opened the journal, or
+/// closed it on detach / idle eviction, or on graceful drain.
+pub const ATTACHED: &str = "attached";
+pub const DETACHED: &str = "detached";
+pub const DRAINED: &str = "drained";
+
 /// Default bound on the in-memory event ring (events beyond it are
 /// dropped oldest-first and counted; a file sink keeps everything).
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
@@ -116,6 +122,11 @@ pub enum SessionEvent {
     CacheInvalidation { scope: String, entries: u64 },
     /// A recovery point embedding the full session state.
     Snapshot(Box<SessionSnapshot>),
+    /// A daemon opened ([`ATTACHED`]) or closed ([`DETACHED`],
+    /// [`DRAINED`]) this journal for `tenant`.  The journal directory's
+    /// live session set is derived from these records
+    /// ([`crate::FleetManifest::load`]).
+    Lifecycle { state: String, tenant: String },
 }
 
 /// Everything recovery needs to rebuild a session at a cut point.
@@ -199,6 +210,7 @@ impl SessionEvent {
             SessionEvent::Demand { .. } => "demand",
             SessionEvent::CacheInvalidation { .. } => "cache",
             SessionEvent::Snapshot(_) => "snapshot",
+            SessionEvent::Lifecycle { .. } => "lifecycle",
         }
     }
 
@@ -209,6 +221,7 @@ impl SessionEvent {
             SessionEvent::Demand { .. }
                 | SessionEvent::CacheInvalidation { .. }
                 | SessionEvent::Snapshot(_)
+                | SessionEvent::Lifecycle { .. }
         )
     }
 
@@ -247,6 +260,7 @@ impl SessionEvent {
             SessionEvent::Snapshot(s) => {
                 format!("snapshot ({} tables, {} undo levels)", s.tables.len(), s.undo_past.len())
             }
+            SessionEvent::Lifecycle { state, tenant } => format!("{state} (tenant {tenant})"),
         }
     }
 }
@@ -755,6 +769,10 @@ fn event_json(seq: u64, ev: &SessionEvent) -> Json {
             fields.push(("undo_future".into(), strings_json(&s.undo_future)));
             fields.push(("view".into(), view_json(&s.view)));
         }
+        SessionEvent::Lifecycle { state, tenant } => {
+            fields.push(("state".into(), Json::Str(state.clone())));
+            fields.push(("tenant".into(), Json::Str(tenant.clone())));
+        }
     }
     Json::Obj(fields)
 }
@@ -802,6 +820,9 @@ fn event_from(j: &Json) -> Result<(u64, SessionEvent), String> {
             undo_future: strings_from(j.arr_field("undo_future")?)?,
             view: view_from(j.get("view").ok_or("missing 'view'")?)?,
         })),
+        "lifecycle" => {
+            SessionEvent::Lifecycle { state: j.str_field("state")?, tenant: j.str_field("tenant")? }
+        }
         other => return Err(format!("unknown event kind '{other}'")),
     };
     Ok((seq, ev))
@@ -810,6 +831,27 @@ fn event_from(j: &Json) -> Result<(u64, SessionEvent), String> {
 /// Serialize one event as its JSONL line (no trailing newline).
 pub fn event_line(seq: u64, ev: &SessionEvent) -> String {
     event_json(seq, ev).to_text()
+}
+
+/// Parse one JSONL event line: the inverse of [`event_line`].
+pub fn parse_event_line(line: &str) -> Result<(u64, SessionEvent), String> {
+    event_from(&Json::parse(line)?)
+}
+
+/// The `(state, tenant)` of a lifecycle event line; `None` for any
+/// other record and for one that does not decode (a torn tail).  Other
+/// kinds are rejected on their encoded `kind` field without decoding,
+/// so a liveness scan never parses snapshot or command records: the
+/// encoding is compact, and a quote inside an encoded string is always
+/// escaped, so the literal below occurs only as the kind itself.
+pub fn lifecycle_of_line(line: &str) -> Option<(String, String)> {
+    if !line.contains("\"kind\":\"lifecycle\"") {
+        return None;
+    }
+    match parse_event_line(line.trim_end()) {
+        Ok((_, SessionEvent::Lifecycle { state, tenant })) => Some((state, tenant)),
+        _ => None,
+    }
 }
 
 /// The JSONL header line for a fresh journal.
@@ -836,8 +878,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<(u64, SessionEvent)>, String> {
     }
     let mut events = Vec::new();
     for (i, line) in lines.enumerate() {
-        let j = Json::parse(line).map_err(|e| format!("journal line {}: {e}", i + 2))?;
-        events.push(event_from(&j).map_err(|e| format!("journal line {}: {e}", i + 2))?);
+        events.push(parse_event_line(line).map_err(|e| format!("journal line {}: {e}", i + 2))?);
     }
     Ok(events)
 }
@@ -862,8 +903,7 @@ pub fn parse_jsonl_recovering(text: &str) -> Result<(Vec<(u64, SessionEvent)>, b
     let body = &lines[1..];
     let mut events = Vec::new();
     for (i, line) in body.iter().enumerate() {
-        let parsed = Json::parse(line).and_then(|j| event_from(&j));
-        match parsed {
+        match parse_event_line(line) {
             Ok(ev) => events.push(ev),
             Err(_) if i + 1 == body.len() => return Ok((events, true)),
             Err(e) => return Err(format!("journal line {}: {e}", i + 2)),
@@ -1171,6 +1211,7 @@ mod tests {
             // Selective scopes carry the edited/refreshed table list so
             // replay can tell them from a full flush.
             SessionEvent::CacheInvalidation { scope: "Stations,sys.counters".into(), entries: 3 },
+            SessionEvent::Lifecycle { state: "attached".into(), tenant: "acme \"q\"".into() },
             SessionEvent::Snapshot(Box::new(SessionSnapshot {
                 program: "TIOGA2-PROGRAM v1\n(graph (nodes) (edges))\n".into(),
                 tables: vec![("Stations".into(), "TIOGA2-RELATION v1\n...".into())],
@@ -1220,6 +1261,24 @@ mod tests {
             assert_eq!(*seq, i as u64 + 1);
             assert_eq!(ev, expected);
         }
+    }
+
+    /// The liveness scan's kind filter must agree with the encoder: a
+    /// change to the line format that hid lifecycle records would make
+    /// every journal look dormant.
+    #[test]
+    fn lifecycle_of_line_recognizes_exactly_lifecycle_records() {
+        for (i, ev) in sample_events().iter().enumerate() {
+            let line = event_line(i as u64 + 1, ev);
+            let expected = match ev {
+                SessionEvent::Lifecycle { state, tenant } => Some((state.clone(), tenant.clone())),
+                _ => None,
+            };
+            assert_eq!(lifecycle_of_line(&line), expected, "{line}");
+        }
+        let torn =
+            event_line(9, &SessionEvent::Lifecycle { state: DETACHED.into(), tenant: "t".into() });
+        assert_eq!(lifecycle_of_line(&torn[..torn.len() - 3]), None);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use hist::Histogram;
 pub use journal::{
     CanvasView, EventLog, MagnifierView, SessionEvent, SessionSnapshot, TravelView, ViewState,
 };
-pub use manifest::{DirLock, FleetManifest, ManifestEntry};
+pub use manifest::{DirLock, FleetManifest};
 pub use memory::{CompletedSpan, Event, InMemoryRecorder};
 pub use slow::{SlowEntry, SlowLog};
 pub use tree::{CacheStatus, DemandTrace, OpNode};

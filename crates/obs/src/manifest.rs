@@ -1,12 +1,18 @@
-//! Fleet manifest + journal-directory lock for tiogad restart recovery.
+//! The fleet's live-session set, derived from its journals, plus the
+//! journal-directory lock for tiogad restart recovery.
 //!
-//! The manifest is a single small JSON file in the journal directory
-//! recording which sessions were live (and under which tenant) when the
-//! daemon last wrote it.  On restart the daemon eagerly recovers exactly
-//! the manifest's sessions; journal files *not* listed stay on disk and
-//! remain lazily attachable.  The file is rewritten atomically
-//! (tmp + rename) so a crash mid-write leaves either the old or the new
-//! manifest, never a torn one.
+//! Every session journal (`<dir>/<sid>.jsonl`) records its own hosting
+//! lifecycle: an `attached` record (carrying the tenant) when a daemon
+//! opens it, and `detached` or `drained` before the daemon's final fsync
+//! when it closes it.  A journal whose last lifecycle record is
+//! `attached` was live when the daemon stopped, so a crash (no closing
+//! record) leaves exactly the acknowledged live set behind.  On restart
+//! the daemon eagerly recovers those sessions; every other journal stays
+//! on disk and remains lazily attachable by id.  The scan reads each
+//! journal backwards to its latest lifecycle record, so a closed journal
+//! costs one small read however large it is.  Nothing here is stored
+//! beside the journals, so there is no second record to fall out of
+//! step with them.
 //!
 //! The lock file pins a journal directory to one daemon: two tiogads
 //! pointed at the same `--journal-dir` would interleave appends and
@@ -14,122 +20,101 @@
 //! (`/proc/<pid>` on Linux), so a SIGKILLed daemon's lock does not
 //! block the restart that recovery exists for.
 
-use crate::journal::Json;
+use crate::journal::{lifecycle_of_line, ATTACHED};
+use std::collections::BTreeMap;
 use std::fs;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-/// File name of the manifest inside the journal directory.
-pub const MANIFEST_FILE: &str = "fleet-manifest.json";
 /// File name of the daemon lock inside the journal directory.
 pub const LOCK_FILE: &str = "tiogad.lock";
 
-const MANIFEST_FORMAT: &str = "tioga2-fleet-manifest";
-const MANIFEST_VERSION: u64 = 1;
-
-/// One live session as recorded in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
-    /// Session id — also the journal file stem (`<sid>.journal`).
-    pub sid: String,
-    /// Owning tenant; reattach must present the same one.
-    pub tenant: String,
-}
-
-/// The fleet manifest: which sessions the daemon considered live at the
-/// moment it was last written.
+/// The fleet's live sessions, as derived from the journal directory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetManifest {
-    pub sessions: Vec<ManifestEntry>,
-    /// `true` when written by a graceful drain; `false` on the periodic
-    /// rewrites that happen while serving.  A recovered fleet whose
-    /// manifest says `clean: false` crashed.
+    /// Live sessions: id (the journal file stem, `<sid>.jsonl`) to
+    /// owning tenant, which a reattach must present.
+    pub sessions: BTreeMap<String, String>,
+    /// Journals that could not be read, with the error.  Whether they
+    /// are live is unknown; recovery reports them as damaged.
+    pub unreadable: BTreeMap<String, String>,
+    /// `true` when no journal is live (and every journal was readable):
+    /// the last daemon detached or drained every session it hosted.  A
+    /// crash leaves it `false`.
     pub clean_shutdown: bool,
 }
 
 impl FleetManifest {
-    pub fn new() -> FleetManifest {
-        FleetManifest::default()
-    }
-
-    pub fn to_text(&self) -> String {
-        let sessions = self
-            .sessions
-            .iter()
-            .map(|e| {
-                Json::Obj(vec![
-                    ("sid".into(), Json::Str(e.sid.clone())),
-                    ("tenant".into(), Json::Str(e.tenant.clone())),
-                ])
-            })
-            .collect();
-        let obj = Json::Obj(vec![
-            ("format".into(), Json::Str(MANIFEST_FORMAT.into())),
-            ("version".into(), Json::Num(MANIFEST_VERSION as f64)),
-            ("clean".into(), Json::Bool(self.clean_shutdown)),
-            ("sessions".into(), Json::Arr(sessions)),
-        ]);
-        let mut text = obj.to_text();
-        text.push('\n');
-        text
-    }
-
-    pub fn parse(text: &str) -> Result<FleetManifest, String> {
-        let v = Json::parse(text.trim_end())?;
-        let fields = match &v {
-            Json::Obj(fields) => fields,
-            _ => return Err("manifest: expected a JSON object".into()),
+    /// Scan `dir`'s journals (read-only).  A journal is live when its
+    /// last complete lifecycle record is `attached`; that record names
+    /// the tenant.  A torn final line is ignored, so a crash mid-append
+    /// leaves the journal live.  Journals with no lifecycle record
+    /// (written before the record existed) are not live.  A journal
+    /// that cannot be read is listed in `unreadable` and the scan goes
+    /// on.  `Ok(None)` when the directory holds no journals (or does not
+    /// exist).
+    pub fn load(dir: &Path) -> Result<Option<FleetManifest>, String> {
+        let entries = match fs::read_dir(dir) {
+            Ok(rd) => rd,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("journal dir read: {e}")),
         };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        match get("format") {
-            Some(Json::Str(s)) if s == MANIFEST_FORMAT => {}
-            _ => return Err(format!("manifest: missing format marker '{MANIFEST_FORMAT}'")),
-        }
-        match get("version") {
-            Some(Json::Num(n)) if *n as u64 == MANIFEST_VERSION => {}
-            Some(Json::Num(n)) => return Err(format!("manifest: unsupported version {n}")),
-            _ => return Err("manifest: missing version".into()),
-        }
-        let clean_shutdown = matches!(get("clean"), Some(Json::Bool(true)));
-        let mut sessions = Vec::new();
-        match get("sessions") {
-            Some(Json::Arr(items)) => {
-                for item in items {
-                    let entry = match item {
-                        Json::Obj(fs) => fs,
-                        _ => return Err("manifest: session entry must be an object".into()),
-                    };
-                    let field = |key: &str| -> Result<String, String> {
-                        match entry.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-                            Some(Json::Str(s)) => Ok(s.clone()),
-                            _ => Err(format!("manifest: session entry missing '{key}'")),
-                        }
-                    };
-                    sessions.push(ManifestEntry { sid: field("sid")?, tenant: field("tenant")? });
+        let mut journals = 0;
+        let mut m = FleetManifest::default();
+        for entry in entries {
+            let path = entry.map_err(|e| format!("journal dir read: {e}"))?.path();
+            let Some(sid) = path.file_stem().and_then(|s| s.to_str()) else { continue };
+            if path.extension().is_none_or(|x| x != "jsonl") {
+                continue;
+            }
+            journals += 1;
+            match live_tenant(&path) {
+                Ok(Some(tenant)) => {
+                    m.sessions.insert(sid.to_string(), tenant);
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    m.unreadable.insert(sid.to_string(), e.to_string());
                 }
             }
-            _ => return Err("manifest: missing sessions array".into()),
         }
-        Ok(FleetManifest { sessions, clean_shutdown })
-    }
-
-    /// Atomically (tmp + rename) write the manifest into `dir`.
-    pub fn store(&self, dir: &Path) -> Result<(), String> {
-        let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-        let fin = dir.join(MANIFEST_FILE);
-        fs::write(&tmp, self.to_text()).map_err(|e| format!("manifest write: {e}"))?;
-        fs::rename(&tmp, &fin).map_err(|e| format!("manifest rename: {e}"))
-    }
-
-    /// Load the manifest from `dir`.  `Ok(None)` when the file does not
-    /// exist (fresh directory / pre-manifest journals); parse failures
-    /// are real errors the caller should surface.
-    pub fn load(dir: &Path) -> Result<Option<FleetManifest>, String> {
-        let path = dir.join(MANIFEST_FILE);
-        match fs::read_to_string(&path) {
-            Ok(text) => Ok(Some(FleetManifest::parse(&text)?)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(format!("manifest read: {e}")),
+        if journals == 0 {
+            return Ok(None);
         }
+        m.clean_shutdown = m.sessions.is_empty() && m.unreadable.is_empty();
+        Ok(Some(m))
+    }
+}
+
+/// Bytes [`live_tenant`] first reads from the end of a journal.
+const TAIL_READ: u64 = 4096;
+
+/// The tenant of the journal at `path` when its last lifecycle record is
+/// `attached`.  Reads a window at the end of the file, doubling it until
+/// it holds a lifecycle record: a closed journal ends in its `detached`
+/// or `drained` record, so it costs one small read however large it is,
+/// and a live one is read back only to its latest `attached`.
+fn live_tenant(path: &Path) -> std::io::Result<Option<String>> {
+    let mut file = fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut take = TAIL_READ.min(len);
+    loop {
+        let mut window = vec![0; take as usize];
+        file.seek(SeekFrom::Start(len - take))?;
+        file.read_exact(&mut window)?;
+        let mut lines = window.split(|&b| b == b'\n');
+        if take < len {
+            lines.next(); // starts mid-line
+        }
+        for line in lines.rev() {
+            if let Some((state, tenant)) = lifecycle_of_line(&String::from_utf8_lossy(line)) {
+                return Ok((state == ATTACHED).then_some(tenant));
+            }
+        }
+        if take == len {
+            return Ok(None);
+        }
+        take = (take * 2).min(len);
     }
 }
 
@@ -212,42 +197,93 @@ mod tests {
         d
     }
 
-    #[test]
-    fn manifest_round_trips() {
-        let m = FleetManifest {
-            sessions: vec![
-                ManifestEntry { sid: "s1".into(), tenant: "acme".into() },
-                ManifestEntry { sid: "s2".into(), tenant: "zenith \"quoted\"".into() },
-            ],
-            clean_shutdown: true,
-        };
-        let back = FleetManifest::parse(&m.to_text()).unwrap();
-        assert_eq!(back, m);
+    fn journal(dir: &Path, sid: &str, lines: &[&str]) {
+        let mut text = crate::journal::header_line();
+        for l in lines {
+            text.push('\n');
+            text.push_str(l);
+        }
+        fs::write(dir.join(format!("{sid}.jsonl")), text).unwrap();
+    }
+
+    fn lifecycle(seq: u64, state: &str, tenant: &str) -> String {
+        let ev = crate::SessionEvent::Lifecycle { state: state.into(), tenant: tenant.into() };
+        crate::journal::event_line(seq, &ev)
     }
 
     #[test]
-    fn manifest_store_and_load() {
-        let dir = tmpdir("store");
+    fn live_set_is_derived_from_lifecycle_records() {
+        let dir = tmpdir("derive");
         assert_eq!(FleetManifest::load(&dir).unwrap(), None);
-        let m = FleetManifest {
-            sessions: vec![ManifestEntry { sid: "a".into(), tenant: "t".into() }],
-            clean_shutdown: false,
-        };
-        m.store(&dir).unwrap();
-        assert_eq!(FleetManifest::load(&dir).unwrap(), Some(m));
-        // no tmp residue from the atomic write
-        assert!(!dir.join(format!("{MANIFEST_FILE}.tmp")).exists());
+        assert_eq!(FleetManifest::load(&dir.join("absent")).unwrap(), None);
+        let edit = r#"{"seq":2,"kind":"undo"}"#;
+        let att = lifecycle(1, "attached", "acme");
+        journal(&dir, "live", &[&att, edit]);
+        journal(&dir, "gone", &[&att, &lifecycle(3, "detached", "acme")]);
+        journal(
+            &dir,
+            "back",
+            &[&att, &lifecycle(2, "drained", "acme"), &lifecycle(3, "attached", "zen \"q\"")],
+        );
+        // Written before lifecycle records existed: dormant.
+        journal(&dir, "old", &[edit]);
+        // Torn final record (a crash mid-append) leaves the journal live.
+        journal(&dir, "torn", &[&att, r#"{"seq":2,"kind":"lifecycle","sta"#]);
+        // A string value that merely mentions the marker is not a record.
+        journal(
+            &dir,
+            "quoted",
+            &[
+                &att,
+                &lifecycle(2, "detached", "acme"),
+                r#"{"seq":3,"kind":"edit","op":"x","program":"\"kind\":\"lifecycle\",\"state\":\"attached\""}"#,
+            ],
+        );
+        // Records longer than the backward scan's read size: the latest
+        // `attached` lies several reads before the end, and a closing
+        // record follows a record that spans reads.
+        let big =
+            format!(r#"{{"seq":2,"kind":"edit","op":"x","program":"{}"}}"#, "p".repeat(150_000));
+        let small = r#"{"seq":3,"kind":"undo"}"#;
+        let mut long_tail: Vec<&str> = vec![&att, &big];
+        long_tail.extend(std::iter::repeat_n(small, 20_000));
+        journal(&dir, "long", &long_tail);
+        journal(&dir, "longgone", &[&big, &att, &big, &lifecycle(4, "detached", "acme")]);
+        fs::write(dir.join("fleet-manifest.json"), "{}").unwrap();
+        let m = FleetManifest::load(&dir).unwrap().expect("journals present");
+        let live: Vec<(&str, &str)> =
+            m.sessions.iter().map(|(sid, tenant)| (sid.as_str(), tenant.as_str())).collect();
+        assert_eq!(
+            live,
+            vec![("back", "zen \"q\""), ("live", "acme"), ("long", "acme"), ("torn", "acme")]
+        );
+        assert!(m.unreadable.is_empty());
+        assert!(!m.clean_shutdown);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn manifest_rejects_garbage_and_wrong_format() {
-        assert!(FleetManifest::parse("not json").is_err());
-        assert!(FleetManifest::parse("{\"format\":\"other\",\"version\":1}").is_err());
-        assert!(FleetManifest::parse(
-            "{\"format\":\"tioga2-fleet-manifest\",\"version\":99,\"sessions\":[]}"
-        )
-        .is_err());
+    fn no_live_journal_is_a_clean_shutdown() {
+        let dir = tmpdir("clean");
+        journal(&dir, "a", &[&lifecycle(1, "attached", "t"), &lifecycle(2, "drained", "t")]);
+        let m = FleetManifest::load(&dir).unwrap().unwrap();
+        assert!(m.sessions.is_empty());
+        assert!(m.clean_shutdown);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One journal that cannot be read is reported on its own; the
+    /// scan still finds the live journals beside it.
+    #[test]
+    fn unreadable_journal_does_not_hide_the_others() {
+        let dir = tmpdir("unreadable");
+        journal(&dir, "live", &[&lifecycle(1, "attached", "t")]);
+        fs::create_dir_all(dir.join("odd.jsonl")).unwrap();
+        let m = FleetManifest::load(&dir).unwrap().unwrap();
+        assert_eq!(m.sessions.keys().collect::<Vec<_>>(), vec!["live"]);
+        assert_eq!(m.unreadable.keys().collect::<Vec<_>>(), vec!["odd"]);
+        assert!(!m.clean_shutdown);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

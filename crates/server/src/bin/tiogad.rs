@@ -14,10 +14,11 @@
 //! Clients speak the framed line protocol of `tioga2_server::proto`:
 //! `attach [session [tenant]]`, then any REPL command line, `stats`,
 //! `metrics`, `slowlog`, `detach`, `shutdown`, and `shutdown drain`
-//! (graceful: finish in-flight demands, fsync journals, write the
-//! manifest, exit).  SIGTERM takes the same graceful-drain path; with a
-//! `--journal-dir`, a SIGKILLed daemon recovers its whole fleet from
-//! journals on the next start.
+//! (graceful: finish in-flight demands, close every journal with a
+//! `drained` record, fsync, exit).  SIGTERM takes the same graceful-drain
+//! path; with a `--journal-dir`, a SIGKILLed daemon recovers its whole
+//! fleet on the next start: every journal it left open (last lifecycle
+//! record `attached`) is replayed.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -43,13 +43,16 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tioga2_core::command::{self, Command, Response};
 use tioga2_core::{Environment, Session, SupersedeHandle};
 use tioga2_obs::export::{escape_json, histogram_series};
-use tioga2_obs::{DirLock, FleetManifest, FleetRecorder, Histogram, InMemoryRecorder, SlowLog};
+use tioga2_obs::journal::{ATTACHED, DETACHED, DRAINED};
+use tioga2_obs::{
+    DirLock, FleetManifest, FleetRecorder, Histogram, InMemoryRecorder, SessionEvent, SlowLog,
+};
 use tioga2_relational::{fault, Budget, Catalog};
 
 /// Server configuration.
@@ -153,6 +156,10 @@ struct SessionSlot {
     worker: Option<JoinHandle<()>>,
     /// Last admission into this session — the idle reaper's clock.
     last_used: Instant,
+    /// How the worker closes its journal once its queue ends: the
+    /// lifecycle state (`detached`/`drained`) it records.  Left unset by
+    /// a crash, so the journal stays live for restart recovery.
+    close_as: Arc<OnceLock<&'static str>>,
 }
 
 /// Shared server state.
@@ -177,11 +184,13 @@ pub struct Server {
     queue_full: AtomicU64,
     // --- crash durability & drain state (PR 10) ---
     /// Set by `shutdown drain` / SIGTERM: stop admitting, finish
-    /// in-flight work, fsync, write the manifest, exit.
+    /// in-flight work, record `drained` in every journal, fsync, exit.
     draining: AtomicBool,
-    /// Session ids mid-attach (worker building/recovering) — counted
-    /// against the caps but not yet in `slots`, so attach does not hold
-    /// the slots lock across an expensive journal recovery.
+    /// Session ids mid-attach (worker building/recovering) or
+    /// mid-detach (worker closing its journal) — counted against the
+    /// caps but not in `slots`, so attach does not hold the slots lock
+    /// across an expensive journal recovery, and never opens a journal
+    /// whose previous worker has not yet closed it.
     reserved: Mutex<BTreeMap<String, String>>,
     /// Exclusive claim on the journal dir (held for the server's life).
     dir_lock: Mutex<Option<DirLock>>,
@@ -211,11 +220,9 @@ pub struct RecoveryReport {
     /// Sessions whose journals refused to load, with the reason — they
     /// refuse `attach` with the same error but never fail the boot.
     pub damaged: Vec<(String, String)>,
-    /// Whether the manifest recorded a graceful drain.
+    /// Whether the previous daemon closed every journal it hosted
+    /// (detach or drain) before it stopped.
     pub clean_shutdown: bool,
-    /// The manifest itself was unreadable; recovery degraded to lazy
-    /// (journals recover on explicit attach).
-    pub manifest_damaged: bool,
 }
 
 /// The shared-snapshot memory proof: across the base catalog and every
@@ -299,14 +306,10 @@ impl Server {
         &self.cfg
     }
 
+    /// `<journal_dir>/<sid>.jsonl`.  Attach admits only ids that are
+    /// safe file stems, so the file name maps back to the id exactly.
     fn journal_path(&self, sid: &str) -> Option<PathBuf> {
-        // Session ids are single whitespace-free tokens; keep the file
-        // name safe anyway.
-        let safe: String = sid
-            .chars()
-            .map(|c| if c.is_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .collect();
-        self.cfg.journal_dir.as_ref().map(|d| d.join(format!("{safe}.jsonl")))
+        self.cfg.journal_dir.as_ref().map(|d| d.join(format!("{sid}.jsonl")))
     }
 
     /// Attach (create or join) the session `sid` for `tenant`.  Enforces
@@ -319,6 +322,11 @@ impl Server {
     /// serialize on the cheap bookkeeping.
     pub fn attach(&self, sid: Option<&str>, tenant: &str) -> Result<String, String> {
         let sid = match sid {
+            Some(s) if !s.chars().all(|c| c.is_alphanumeric() || c == '-' || c == '_') => {
+                return Err(format!(
+                    "admission denied: session id '{s}' may hold only letters, digits, '-' and '_'"
+                ));
+            }
             Some(s) => s.to_string(),
             // Anonymous attach mints an id — skipping any that is live,
             // reserved, or has a journal on disk (after a restart the
@@ -352,7 +360,7 @@ impl Server {
                 return Err(retryable("admission denied: server is draining"));
             }
             if reserved.contains_key(&sid) {
-                return Err(retryable(format!("session '{sid}' attach already in progress")));
+                return Err(retryable(format!("session '{sid}' is attaching or detaching")));
             }
             if slots.len() + reserved.len() >= self.cfg.max_sessions {
                 self.refused_max_sessions.fetch_add(1, Ordering::Relaxed);
@@ -385,7 +393,6 @@ impl Server {
         if recovered {
             self.recoveries.fetch_add(1, Ordering::Relaxed);
         }
-        self.write_manifest(false);
         Ok(sid)
     }
 
@@ -409,6 +416,7 @@ impl Server {
             .unwrap_or(false);
 
         let (tx, rx) = sync_channel::<Job>(self.cfg.queue_depth);
+        let close_as = Arc::new(OnceLock::new());
         let obs = WorkerObs {
             fleet: self.cfg.telemetry.then(|| self.fleet.clone()),
             slowlog: self.slowlog.clone(),
@@ -416,6 +424,7 @@ impl Server {
             sid: sid.to_string(),
             fsync: self.cfg.fsync,
             dedup_hits: self.dedup_hits.clone(),
+            close_as: close_as.clone(),
         };
         // The session is built on the worker thread (it owns it for
         // life); the supersede handle and forked catalog come back over
@@ -439,39 +448,26 @@ impl Server {
                 catalog,
                 worker: Some(worker),
                 last_used: Instant::now(),
+                close_as,
             },
             will_recover,
         ))
     }
 
-    /// Rewrite the fleet manifest (live sessions + shutdown
-    /// cleanliness).  Best-effort: a failed write degrades restart from
-    /// eager to lazy recovery, it must never fail the serving path.
-    fn write_manifest(&self, clean: bool) {
-        let Some(dir) = &self.cfg.journal_dir else { return };
-        let sessions = {
-            let slots = self.slots.lock().unwrap();
-            slots
-                .iter()
-                .map(|(sid, slot)| tioga2_obs::ManifestEntry {
-                    sid: sid.clone(),
-                    tenant: slot.tenant.clone(),
-                })
-                .collect()
-        };
-        let manifest = FleetManifest { sessions, clean_shutdown: clean };
-        let _ = std::fs::create_dir_all(dir);
-        if let Err(e) = manifest.store(dir) {
-            eprintln!("tiogad: manifest write failed: {e}");
-        }
-    }
-
-    /// Detach `sid`: the worker drains its queue, fsyncs the journal,
-    /// and exits.  With a journal dir configured the session's state
-    /// survives on disk and a later `attach` of the same id recovers it.
+    /// Detach `sid`: the worker drains its queue, records `detached` in
+    /// the journal, fsyncs it, and exits.  With a journal dir configured
+    /// the session's state survives on disk and a later `attach` of the
+    /// same id recovers it.  The id stays reserved until the worker has
+    /// exited, so a concurrent attach is refused (retryably) rather than
+    /// opening the journal before `detached` is written.
     pub fn detach(&self, sid: &str) -> Result<(), String> {
-        let slot =
-            self.slots.lock().unwrap().remove(sid).ok_or_else(|| format!("no session '{sid}'"))?;
+        let slot = {
+            let mut slots = self.slots.lock().unwrap();
+            let slot = slots.remove(sid).ok_or_else(|| format!("no session '{sid}'"))?;
+            self.reserved.lock().unwrap().insert(sid.to_string(), slot.tenant.clone());
+            slot
+        };
+        let _ = slot.close_as.set(DETACHED);
         drop(slot.tx);
         if let Some(w) = slot.worker {
             let _ = w.join();
@@ -480,7 +476,7 @@ impl Server {
         // final counters/histograms into the tenant's retired aggregate
         // so fleet totals stay monotonic (no-op when telemetry is off).
         self.fleet.retire(&slot.tenant, sid);
-        self.write_manifest(false);
+        self.reserved.lock().unwrap().remove(sid);
         Ok(())
     }
 
@@ -523,9 +519,9 @@ impl Server {
     /// Graceful drain: stop admitting (attaches and new commands are
     /// refused with a retryable error), let queued and in-flight demands
     /// finish under `drain_deadline_ms` (a watchdog then cancels them
-    /// via their supersede handles), fsync every journal as its worker
-    /// exits, and write a clean manifest.  Returns the drain wall time
-    /// in ms.  Idempotent — a second drain is a no-op.
+    /// via their supersede handles), and record `drained` in every
+    /// journal and fsync it as its worker exits.  Returns the drain wall
+    /// time in ms.  Idempotent — a second drain is a no-op.
     pub fn drain(&self) -> u64 {
         if self.draining.swap(true, Ordering::SeqCst) {
             return 0;
@@ -562,8 +558,10 @@ impl Server {
             .ok();
 
         // Dropping a slot's sender ends its worker's queue; the worker
-        // finishes whatever was admitted, fsyncs its journal, and exits.
+        // finishes whatever was admitted, records `drained`, fsyncs its
+        // journal, and exits.
         for (sid, slot) in drained {
+            let _ = slot.close_as.set(DRAINED);
             drop(slot.tx);
             if let Some(w) = slot.worker {
                 let _ = w.join();
@@ -576,10 +574,8 @@ impl Server {
             let _ = w.join();
         }
 
-        // All journals are on disk: record the clean manifest (drain
-        // empties the live set, so recovery after a *clean* shutdown
-        // starts lazy — journals stay attachable by id).
-        self.write_manifest(true);
+        // Every journal now ends in `drained`, so recovery after a clean
+        // shutdown starts lazy — journals stay attachable by id.
         let ms = start.elapsed().as_millis() as u64;
         self.drain_hist.lock().unwrap().record(ms);
         eprintln!("tiogad: drained {n} session(s) in {ms} ms");
@@ -587,11 +583,11 @@ impl Server {
     }
 
     /// Startup recovery: claim the journal dir (lockfile, pid-liveness
-    /// stale detection), read the manifest, and rebuild every listed
-    /// session — in parallel, bounded — so clients can reattach to their
-    /// pre-crash `{tenant, session}` immediately.  Per-session failures
-    /// (damaged journals) degrade to that session refusing to attach;
-    /// they never fail the boot.  Only a foreign *live* daemon holding
+    /// stale detection), find the live journals (see [`FleetManifest`]),
+    /// and rebuild those sessions — in parallel, bounded — so clients can
+    /// reattach to their pre-crash `{tenant, session}` immediately.
+    /// Per-session failures (damaged journals) degrade to that session
+    /// refusing to attach; they never fail the boot.  Only a foreign *live* daemon holding
     /// the lock is fatal.
     pub fn recover_fleet(&self) -> Result<RecoveryReport, String> {
         let Some(dir) = self.cfg.journal_dir.clone() else {
@@ -601,38 +597,34 @@ impl Server {
         let lock = DirLock::acquire(&dir)?;
         *self.dir_lock.lock().unwrap() = Some(lock);
 
-        let manifest = match FleetManifest::load(&dir) {
-            Ok(Some(m)) => m,
-            Ok(None) => return Ok(RecoveryReport::default()),
-            Err(e) => {
-                // A torn/corrupt manifest downgrades to lazy recovery.
-                eprintln!("tiogad: manifest unreadable ({e}); sessions recover on attach");
-                return Ok(RecoveryReport { manifest_damaged: true, ..Default::default() });
-            }
-        };
+        let live = FleetManifest::load(&dir).unwrap_or_else(|e| {
+            // An unreadable directory downgrades to lazy recovery.
+            eprintln!("tiogad: journal scan failed ({e}); sessions recover on attach");
+            None
+        });
+        let Some(live) = live else { return Ok(RecoveryReport::default()) };
         let mut report =
-            RecoveryReport { clean_shutdown: manifest.clean_shutdown, ..Default::default() };
-        if manifest.sessions.is_empty() {
-            return Ok(report);
+            RecoveryReport { clean_shutdown: live.clean_shutdown, ..Default::default() };
+        // A journal the scan could not read is damaged: attaching it
+        // would fail the same way.
+        for (sid, e) in live.unreadable {
+            report.damaged.push((sid, format!("journal unreadable: {e}")));
         }
 
         // Bounded parallel rebuild: attach() reserves ids up front and
         // builds off-lock, so K recovery threads overlap journal replay.
         type SessionResults = Vec<(String, Result<(), String>)>;
-        let work = Arc::new(Mutex::new(manifest.sessions));
+        let threads = live.sessions.len().min(4);
+        let work = Arc::new(Mutex::new(live.sessions.into_iter().collect::<Vec<_>>()));
         let results: Arc<Mutex<SessionResults>> = Arc::new(Mutex::new(Vec::new()));
-        let threads = {
-            let n = work.lock().unwrap().len();
-            n.min(4)
-        };
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 let work = work.clone();
                 let results = results.clone();
                 scope.spawn(move || loop {
-                    let Some(entry) = work.lock().unwrap().pop() else { break };
-                    let out = self.attach(Some(&entry.sid), &entry.tenant).map(|_| ());
-                    results.lock().unwrap().push((entry.sid, out));
+                    let Some((sid, tenant)) = work.lock().unwrap().pop() else { break };
+                    let out = self.attach(Some(&sid), &tenant).map(|_| ());
+                    results.lock().unwrap().push((sid, out));
                 });
             }
         });
@@ -644,6 +636,7 @@ impl Server {
                 Err(e) => report.damaged.push((sid, e)),
             }
         }
+        report.damaged.sort();
         Ok(report)
     }
 
@@ -878,9 +871,9 @@ impl Server {
 
     /// Chaos hook: stop serving the way a crashed daemon would.  Worker
     /// threads are joined so journal files close, but sessions are not
-    /// retired, the manifest is not rewritten (it still lists the fleet
-    /// as live), and the lockfile is left on disk exactly as SIGKILL
-    /// would leave it — startup recovery must cope with all of that.
+    /// retired, no journal records its closing (each stays live), and
+    /// the lockfile is left on disk exactly as SIGKILL would leave it —
+    /// startup recovery must cope with all of that.
     pub fn crash(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let slots = std::mem::take(&mut *self.slots.lock().unwrap());
@@ -925,6 +918,8 @@ struct WorkerObs {
     fsync: bool,
     /// Shared counter of retried frames answered from the dedup cache.
     dedup_hits: Arc<AtomicU64>,
+    /// The slot's closing lifecycle state (see [`SessionSlot`]).
+    close_as: Arc<OnceLock<&'static str>>,
 }
 
 /// How many recently executed request ids each worker remembers for
@@ -961,6 +956,13 @@ fn session_worker(
     }
     session.install_slowlog(obs.slowlog, &obs.tenant, &obs.sid);
     let catalog = session.env.catalog.clone();
+    let lifecycle = |state: &str| SessionEvent::Lifecycle {
+        state: state.to_string(),
+        tenant: obs.tenant.clone(),
+    };
+    if journal.is_some() {
+        session.events().append(lifecycle(ATTACHED));
+    }
     if init_tx.send(Ok((session.supersede_handle(), catalog, torn))).is_err() {
         return;
     }
@@ -1004,11 +1006,16 @@ fn session_worker(
         }
         let _ = job.reply.send(out);
         if quit {
+            let _ = obs.close_as.set(DETACHED);
             break;
         }
     }
-    // Queue closed (detach / eviction / drain / quit): put the journal
-    // on stable storage before the slot is considered gone.
+    // Queue closed (detach / eviction / drain / quit): record how, then
+    // put the journal on stable storage before the slot is considered
+    // gone.  A crash sets no closing state, so its journals stay live.
+    if let (Some(_), Some(state)) = (&journal, obs.close_as.get()) {
+        session.events().append(lifecycle(state));
+    }
     let _ = session.sync_journal();
 }
 
@@ -1050,6 +1057,12 @@ fn build_session(fork: Catalog, journal: &Option<PathBuf>) -> Result<(Session, b
                 file.sync_all().map_err(|e| e.to_string())?;
             }
             session.attach_journal_file(path_str).map_err(|e| e.to_string())?;
+            if !existing {
+                // The journal is the session's only record: its
+                // directory entry must be as durable as its contents.
+                let dir = path.parent().ok_or("journal path has no directory")?;
+                std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(|e| e.to_string())?;
+            }
             if session.events().last_snapshot_seq().is_none() {
                 // Fresh journal: snapshot immediately so the file is
                 // recoverable from the first byte.
@@ -1377,9 +1390,11 @@ fn connection(stream: TcpStream, server: Arc<Server>) {
                     if matches!(&out, Err(e) if e.starts_with("no session")) {
                         // The idle reaper evicted this session between
                         // commands; its journal makes reattach exact.
-                        if server.attach(Some(sid), tenant).is_ok() {
-                            out = server.run_req(sid, line, rid, stamped);
-                        }
+                        // A refusal (say, the eviction is still closing
+                        // the journal: retryable) goes to the client.
+                        out = server
+                            .attach(Some(sid), tenant)
+                            .and_then(|_| server.run_req(sid, line, rid, stamped));
                     }
                     match out {
                         Ok((body, true)) => {

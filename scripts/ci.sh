@@ -3,9 +3,12 @@
 #
 #   cargo fmt --all -- --check      — formatting is canonical
 #   cargo build --release           — workspace builds clean
-#   cargo test -q (threads 1 and 4) — root-package tests (tier-1
-#       contract), exercised serial and with the partition-parallel
-#       executor enabled so both code paths stay equivalent
+#   cargo test --workspace -q (threads 1 and 4) — every test of every
+#       workspace crate (a superset of the tier-1 root-package tests),
+#       exercised serial and with the partition-parallel executor
+#       enabled so both code paths stay equivalent
+#   perfbench self-tests            — the interaction benchmark's own
+#       tests (it is a separate cargo project, perfbench/Cargo.toml)
 #   cargo clippy -D warnings        — workspace-wide lint, warnings are
 #       errors
 #   cargo bench obs_overhead        — observability + governance budgets:
@@ -65,8 +68,9 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo build --release
-TIOGA2_THREADS=1 cargo test -q
-TIOGA2_THREADS=4 cargo test -q
+TIOGA2_THREADS=1 cargo test --workspace -q
+TIOGA2_THREADS=4 cargo test --workspace -q
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace -- -D warnings
 cargo bench -p tioga2-bench --bench obs_overhead
 cargo test -q --test chaos
@@ -181,4 +185,4 @@ for key in a5_plan_pushdown a6_parallel_scaling_t1 a6_parallel_scaling_t2 \
         || { echo "ci: BENCH_figures.json is missing '$key'" >&2; exit 1; }
 done
 
-echo "ci: fmt + build + tests (1 and 4 workers) + clippy + budgets + chaos + kill-recover + fleet-chaos + governed suite + self-monitor + tiogad smoke + kill-restart smoke + figures all green"
+echo "ci: fmt + build + workspace tests (1 and 4 workers) + perfbench tests + clippy + budgets + chaos + kill-recover + fleet-chaos + governed suite + self-monitor + tiogad smoke + kill-restart smoke + figures all green"

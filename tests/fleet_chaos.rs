@@ -89,7 +89,7 @@ fn assert_exactly_once(c: &mut RetryClient) {
 }
 
 /// The matrix heart: run the workload under an armed fault spec, kill
-/// the daemon (SIGKILL semantics: no retire, manifest says live, lock
+/// the daemon (SIGKILL semantics: no retire, journals left open, lock
 /// left), restart on the same journal dir, and compare bytes.
 fn kill_restart_under(spec: &str, name: &str) {
     let _guard = serial();
