@@ -22,6 +22,7 @@ use tioga2_dataflow::{BoxKind, Engine, Graph};
 use tioga2_display::drilldown::set_range;
 use tioga2_display::Composite;
 use tioga2_expr::parse;
+use tioga2_obs::noop_ref;
 use tioga2_relational::ops;
 use tioga2_relational::update::{install_update, FieldChange};
 use tioga2_render::{render_scene, Framebuffer};
@@ -153,7 +154,7 @@ fn a3_sample(c: &mut Criterion) {
         let mut viewer = Viewer::new("v", 640, 480);
         viewer.fit(&sampled).unwrap();
         g.bench_with_input(BenchmarkId::new("render_sampled_pct", pct), &pct, |b, _| {
-            b.iter(|| black_box(viewer.render(&sampled).unwrap().1.len()));
+            b.iter(|| black_box(viewer.render(&sampled, noop_ref()).unwrap().1.len()));
         });
     }
     g.finish();
@@ -204,7 +205,7 @@ fn u1_update(c: &mut Criterion) {
         let composite = scatter_composite(n);
         let mut viewer = Viewer::new("v", 640, 480);
         viewer.fit(&composite).unwrap();
-        let (_, hits, _) = viewer.render(&composite).unwrap();
+        let (_, hits, _) = viewer.render(&composite, noop_ref()).unwrap();
         g.bench_with_input(BenchmarkId::new("hit_test", n), &n, |b, _| {
             b.iter(|| black_box(hits.top_hit(320, 240).is_some()));
         });

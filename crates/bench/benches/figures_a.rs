@@ -18,6 +18,7 @@ use tioga2_dataflow::{edit, BoxKind, BoxRegistry, Engine, Graph, PortType};
 use tioga2_display::attr_ops;
 use tioga2_display::defaults::make_display_relation;
 use tioga2_expr::{parse, ScalarType as T};
+use tioga2_obs::noop_ref;
 use tioga2_relational::ops;
 use tioga2_render::{render_scene, Framebuffer, Viewport};
 use tioga2_viewer::{compose_scene, CullOptions, Slider, Viewer};
@@ -160,7 +161,7 @@ fn fig4_scatter_render(c: &mut Criterion) {
         viewer.fit(&composite).unwrap();
         g.bench_with_input(BenchmarkId::new("scene_and_raster", n), &n, |b, _| {
             b.iter(|| {
-                let (fb, hits, _) = viewer.render(&composite).unwrap();
+                let (fb, hits, _) = viewer.render(&composite, noop_ref()).unwrap();
                 black_box((fb.ink_fraction(), hits.len()))
             });
         });

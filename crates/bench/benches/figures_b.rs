@@ -19,6 +19,7 @@ use tioga2_display::drilldown::{
 };
 use tioga2_display::{Composite, Layout};
 use tioga2_expr::parse;
+use tioga2_obs::noop_ref;
 use tioga2_viewer::group::GroupWindow;
 use tioga2_viewer::magnifier::Magnifier;
 use tioga2_viewer::slaving::ViewerSet;
@@ -73,7 +74,7 @@ fn fig7_overlay_zoom_path(c: &mut Criterion) {
             let mut total = 0usize;
             for &e in &[75.0, 45.0, 25.0, 12.0, 5.0] {
                 viewer.position.elevation = e;
-                let (_, hits, _) = viewer.render(&composite).unwrap();
+                let (_, hits, _) = viewer.render(&composite, noop_ref()).unwrap();
                 total += hits.len();
             }
             black_box(total)
@@ -145,13 +146,13 @@ fn fig9_magnifier(c: &mut Criterion) {
     let composite = scatter_composite(20_000);
     let mut viewer = Viewer::new("plot", 640, 480);
     viewer.fit(&composite).unwrap();
-    let (base_fb, _, _) = viewer.render(&composite).unwrap();
+    let (base_fb, _, _) = viewer.render(&composite, noop_ref()).unwrap();
     for &(w, h) in &[(80u32, 60u32), (320, 240)] {
         let m = Magnifier::new((100, 100, w, h), 3.0).unwrap();
         g.bench_with_input(BenchmarkId::new("lens_render", format!("{w}x{h}")), &w, |b, _| {
             b.iter(|| {
                 let mut fb = base_fb.clone();
-                m.render_into(&viewer, &composite, &mut fb).unwrap();
+                m.render_into(&viewer, &composite, &mut fb, noop_ref()).unwrap();
                 black_box(fb.ink_fraction())
             });
         });

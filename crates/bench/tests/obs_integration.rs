@@ -4,7 +4,7 @@
 //! and a second demand is pure cache hits.
 
 use std::sync::Arc;
-use tioga2_bench::{build_figure7, catalog, session};
+use tioga2_bench::{build_figure1, build_figure7, catalog, session};
 use tioga2_obs::{InMemoryRecorder, Recorder};
 
 #[test]
@@ -89,10 +89,6 @@ const DOCUMENTED_SPANS: &[&str] = &[
     "session.zoom",
     "render.compose",
     "render.draw",
-    "nav.render",
-    "nav.pan",
-    "nav.zoom",
-    "nav.traverse",
 ];
 /// `fire:<Box>` / `relop:<Op>` spans are dynamic per box kind.
 const DOCUMENTED_SPAN_PREFIXES: &[&str] = &["fire:", "relop:"];
@@ -150,25 +146,48 @@ fn counter_and_span_names_match_design_doc() {
             sp.name
         );
     }
-    // The session-driven subset of documented spans all appeared (the
-    // nav.* spans belong to the standalone navigator driver).
-    for name in [
-        "engine.demand",
-        "plan.execute",
-        "session.edit",
-        "session.undo",
-        "session.redo",
-        "session.render",
-        "session.pan",
-        "session.zoom",
-        "render.compose",
-        "render.draw",
-    ] {
+    // ... and every documented span was emitted by this run.
+    for name in DOCUMENTED_SPANS {
         assert!(
-            spans.iter().any(|sp| sp.name == name),
+            spans.iter().any(|sp| sp.name == *name),
             "documented span '{name}' never emitted by the figure-7 run"
         );
     }
     assert!(spans.iter().any(|sp| sp.name.starts_with("fire:")));
     assert!(spans.iter().any(|sp| sp.name.starts_with("relop:")));
+}
+
+/// Magnifying glasses and the rear view mirror draw through the same
+/// recorded pass as the canvas: each lens and the mirror add one
+/// `render.compose` and one `render.draw` span.
+#[test]
+fn lenses_and_rear_view_mirror_are_traced() {
+    let mut s = session(catalog(60, 4));
+    build_figure7(&mut s);
+    build_figure1(&mut s);
+    s.render("atlas").expect("fit");
+    let lens = tioga2_viewer::magnifier::Magnifier::new((200, 150, 160, 120), 2.0).expect("lens");
+    s.add_magnifier("atlas", lens).expect("attach lens");
+    let count = |rec: &InMemoryRecorder, name: &str| {
+        rec.completed_spans().iter().filter(|sp| sp.name == name).count()
+    };
+
+    let rec = Arc::new(InMemoryRecorder::new());
+    s.set_recorder(rec.clone());
+    s.render("atlas").expect("render with a lens");
+    assert_eq!(count(&rec, "render.compose"), 2, "canvas + lens compose");
+    assert_eq!(count(&rec, "render.draw"), 2, "canvas + lens draw");
+
+    let spec = tioga2_expr::ViewerSpec {
+        destination: "main".into(),
+        elevation: 5.0,
+        at: (0.0, 0.0),
+        size: (1.0, 1.0),
+    };
+    s.traverse("atlas", &spec).expect("travel to main");
+    let rec = Arc::new(InMemoryRecorder::new());
+    s.set_recorder(rec.clone());
+    s.render_rear_view(120, 90).expect("mirror").expect("travel history");
+    assert_eq!(count(&rec, "render.compose"), 1, "mirror compose");
+    assert_eq!(count(&rec, "render.draw"), 1, "mirror draw");
 }

@@ -47,18 +47,10 @@ impl Canvas {
     }
 
     /// Render `content` through this canvas, using `viewers` for the
-    /// canvas's own pan/zoom state (looked up under `name`).
+    /// canvas's own pan/zoom state (looked up under `name`).  The canvas
+    /// and each of its magnifying glasses draw through one recorded pass,
+    /// traced in `rec`.
     pub fn render(
-        &mut self,
-        name: &str,
-        content: &Displayable,
-        viewers: &mut ViewerSet,
-    ) -> Result<CanvasFrame, CoreError> {
-        self.render_recorded(name, content, viewers, tioga2_obs::noop_ref())
-    }
-
-    /// [`Canvas::render`] with compose/draw passes traced through `rec`.
-    pub fn render_recorded(
         &mut self,
         name: &str,
         content: &Displayable,
@@ -96,9 +88,9 @@ impl Canvas {
                     self.fitted = true;
                 }
                 let viewer = viewers.get(name)?.clone();
-                let (mut fb, hits, scene) = viewer.render_recorded(&composite, rec)?;
+                let (mut fb, hits, scene) = viewer.render(&composite, rec)?;
                 for m in &self.magnifiers {
-                    m.render_into(&viewer, &composite, &mut fb)?;
+                    m.render_into(&viewer, &composite, &mut fb, rec)?;
                 }
                 Ok(CanvasFrame { fb, hits, member_hits: Vec::new(), scene })
             }

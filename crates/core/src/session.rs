@@ -26,7 +26,6 @@ use tioga2_relational::persist as rel_persist;
 use tioga2_relational::{Budget, CancelToken, Catalog};
 use tioga2_render::HitRecord;
 use tioga2_viewer::magnifier::Magnifier;
-use tioga2_viewer::navigator::PASS_THROUGH_ELEVATION;
 use tioga2_viewer::render_pass::Slider;
 use tioga2_viewer::slaving::ViewerSet;
 use tioga2_viewer::Viewer;
@@ -38,6 +37,11 @@ pub enum EvalMode {
     Lazy,
     EagerTioga1,
 }
+
+/// The elevation at (or below) which zooming over a wormhole passes
+/// through it (§6.2); zooming lower with no wormhole under the screen
+/// center clamps here.
+pub const PASS_THROUGH_ELEVATION: f64 = 1e-3;
 
 /// One wormhole traversal on the travel stack.
 #[derive(Debug, Clone, PartialEq)]
@@ -1799,15 +1803,16 @@ impl Session {
             .canvases
             .get_mut(canvas)
             .ok_or_else(|| CoreError::Session(format!("no canvas '{canvas}'")))?;
-        c.render_recorded(canvas, &content, &mut self.viewers, self.recorder.as_ref())
+        c.render(canvas, &content, &mut self.viewers, self.recorder.as_ref())
     }
 
     /// The window predicate (visible bounds + slider ranges) a render of
     /// `canvas` pushes into its demanded plan, when that is sound: lazy
-    /// mode, an already-fitted canvas, a planned relational chain, and a
-    /// position-independent layout.
+    /// mode, an already-fitted canvas with no magnifying glass (a lens
+    /// may look outside the outer window, §7.2), a planned relational
+    /// chain, and a position-independent layout.
     fn window_pred(&mut self, canvas: &str) -> Result<Option<tioga2_expr::Expr>, CoreError> {
-        let fitted = self.canvases.get(canvas).filter(|c| c.fitted);
+        let fitted = self.canvases.get(canvas).filter(|c| c.fitted && c.magnifiers.is_empty());
         let Some(node) = fitted.map(|c| c.node).filter(|_| self.mode == EvalMode::Lazy) else {
             return Ok(None);
         };
@@ -2091,15 +2096,14 @@ impl Session {
         // previous canvas").
         let extent = rear.abs().max(last.elevation);
         let vp = tioga2_render::Viewport::new(last.center, extent, width, height);
-        let scene = tioga2_viewer::render_pass::compose_scene(
+        let (fb, _, scene) = tioga2_viewer::render_composite(
             &composite,
             rear,
             &[],
-            vp.world_bounds(),
+            &vp,
             Default::default(),
+            self.recorder.as_ref(),
         )?;
-        let mut fb = tioga2_render::Framebuffer::new(width, height);
-        let _ = tioga2_render::render_scene(&scene, &vp, &mut fb);
         Ok(Some((fb, scene)))
     }
 

@@ -930,3 +930,195 @@ fn tuple_edit_propagates_as_delta_not_invalidation() {
         other => panic!("{other:?}"),
     }
 }
+
+/// A 40×40 grid of stored `Points(x, y)` (spacing 2.5) → Restrict →
+/// Viewer `grid`, fitted and then zoomed in tenfold, under `mode`.
+fn zoomed_grid(mode: EvalMode) -> Session {
+    use tioga2_expr::Value;
+    let catalog = Catalog::new();
+    let mut b = tioga2_relational::relation::RelationBuilder::new()
+        .field("x", T::Float)
+        .field("y", T::Float);
+    for i in 0..40 {
+        for j in 0..40 {
+            b = b.row(vec![Value::Float(i as f64 * 2.5), Value::Float(j as f64 * 2.5)]);
+        }
+    }
+    catalog.register("Points", b.build().unwrap());
+    let mut s = Session::new(Environment::new(catalog));
+    s.set_mode(mode);
+    let t = s.add_table("Points").unwrap();
+    let r = s.restrict(t, "x >= 0.0").unwrap();
+    s.add_viewer(r, "grid").unwrap();
+    s.render("grid").unwrap();
+    s.zoom("grid", 0.1).unwrap();
+    s
+}
+
+/// Non-background pixels strictly inside a lens's 2-pixel frame.
+fn lens_ink(fb: &tioga2_render::Framebuffer, (x, y, w, h): (i32, i32, u32, u32)) -> usize {
+    let (x1, y1) = (x + w as i32 - 2, y + h as i32 - 2);
+    (y + 2..y1)
+        .flat_map(|py| (x + 2..x1).map(move |px| (px, py)))
+        .filter(|&(px, py)| fb.get(px, py) != Some([255, 255, 255, 255]))
+        .count()
+}
+
+#[test]
+fn lenses_draw_rows_outside_the_outer_window() {
+    // The outer view is zoomed onto the grid's middle; one lens looks at
+    // a corner the outer window excludes, the other shrinks (zoom 0.1)
+    // and so sees far past the outer window.  The window pushdown must
+    // not starve either lens: the lazy frame equals the eager one.
+    let lenses = [
+        Magnifier::new((20, 20, 120, 90), 2.0).unwrap().unslaved_at((5.0, 5.0)),
+        Magnifier::new((400, 300, 160, 120), 0.1).unwrap(),
+    ];
+    for lens in lenses {
+        let [lazy, eager] = [EvalMode::Lazy, EvalMode::EagerTioga1].map(|mode| {
+            let mut s = zoomed_grid(mode);
+            s.add_magnifier("grid", lens.clone()).unwrap();
+            s.render("grid").unwrap().fb
+        });
+        assert!(lens_ink(&eager, lens.rect_px) > 0, "the lens sees grid points");
+        assert_eq!(lens_ink(&lazy, lens.rect_px), lens_ink(&eager, lens.rect_px));
+        assert!(lazy == eager, "lazy frame differs from the eager frame");
+    }
+}
+
+/// Two canvases for wormhole travel (§6.2, §6.3): `stations` shows one
+/// spot at the origin carrying a wormhole to `temps` (visible only up to
+/// elevation 20) over an underside layer `under` that only a rear view
+/// mirror sees; `temps` is a plain five-point plot.  The user starts on
+/// `stations`, centered on the spot at elevation 10.
+fn travel_world() -> Session {
+    use tioga2_expr::Value;
+    use tioga2_relational::relation::RelationBuilder;
+    let catalog = Catalog::new();
+    let spot = RelationBuilder::new().field("x", T::Float).field("y", T::Float);
+    catalog.register("Spot", spot.row(vec![Value::Float(0.0), Value::Float(0.0)]).build().unwrap());
+    let mut temps = RelationBuilder::new().field("x", T::Float).field("y", T::Float);
+    for i in 0..5 {
+        temps = temps.row(vec![Value::Float(i as f64), Value::Float(20.0 + i as f64)]);
+    }
+    catalog.register("Temps", temps.build().unwrap());
+    let mut s = Session::new(Environment::new(catalog));
+
+    let t = s.add_table("Temps").unwrap();
+    s.add_viewer(t, "temps").unwrap();
+    let a = s.add_table("Spot").unwrap();
+    let wh = s
+        .set_attribute(
+            a,
+            "display",
+            T::DrawList,
+            "circle(1.0,'red') ++ viewer('temps', 80.0, 5.0, 3.0, 6.0, 4.0)",
+        )
+        .unwrap();
+    let wh = s.set_range(wh, 0.0, 20.0, Selection::default()).unwrap();
+    let b = s.add_table("Spot").unwrap();
+    let under = s.set_attribute(b, "display", T::DrawList, "rect(4.0,4.0,'blue') ++ nodraw()");
+    let under = s.set_range(under.unwrap(), -1e6, -0.0001, Selection::default()).unwrap();
+    let under = s.set_layer_name(under, "under").unwrap();
+    let both = s.overlay(wh, under, vec![], true).unwrap();
+    s.add_viewer(both, "stations").unwrap();
+    s.render("stations").unwrap();
+    s.set_focus("stations").unwrap();
+    let v = s.viewers.get_mut("stations").unwrap();
+    v.position.center = (0.0, 0.0);
+    v.position.elevation = 10.0;
+    s
+}
+
+#[test]
+fn wormhole_is_range_culled_at_high_elevation() {
+    let mut s = travel_world();
+    let spec = s.wormhole_under_center("stations").unwrap().expect("wormhole under the center");
+    assert_eq!(spec.destination, "temps");
+    s.viewers.get_mut("stations").unwrap().position.elevation = 100.0;
+    assert!(s.wormhole_under_center("stations").unwrap().is_none());
+}
+
+#[test]
+fn zooming_to_ground_without_a_wormhole_clamps() {
+    use tioga2_core::session::PASS_THROUGH_ELEVATION;
+    let mut s = travel_world();
+    s.viewers.get_mut("stations").unwrap().position.center = (500.0, 500.0);
+    for _ in 0..80 {
+        assert_eq!(s.zoom("stations", 0.5).unwrap(), None);
+    }
+    assert_eq!(s.viewers.get("stations").unwrap().position.elevation, PASS_THROUGH_ELEVATION);
+    assert_eq!(s.focus(), Some("stations"), "no travel happened");
+    assert_eq!(s.travel_depth(), 0);
+}
+
+#[test]
+fn rear_view_shows_only_the_underside_layer() {
+    let mut s = travel_world();
+    let spec = s.wormhole_under_center("stations").unwrap().unwrap();
+    s.traverse("stations", &spec).unwrap();
+    // Descend the new canvas: the rear view elevation goes negative.
+    s.viewers.get_mut("temps").unwrap().position.elevation = 40.0;
+    assert_eq!(s.rear_view_elevation(), Some(40.0 - 80.0));
+    let (fb, scene) = s.render_rear_view(100, 100).unwrap().unwrap();
+    assert_eq!(scene.len(), 1, "only the underside layer appears");
+    assert_eq!(scene.items[0].provenance.layer, "under");
+    assert!(fb.count_color(Color::BLUE) > 0);
+}
+
+#[test]
+fn no_rear_view_before_travel() {
+    let mut s = travel_world();
+    assert!(s.render_rear_view(50, 50).unwrap().is_none());
+    assert_eq!(s.rear_view_elevation(), None);
+}
+
+#[test]
+fn go_back_restores_the_exact_position() {
+    let mut s = travel_world();
+    let before = s.viewers.get("stations").unwrap().position.clone();
+    let spec = s.wormhole_under_center("stations").unwrap().unwrap();
+    s.traverse("stations", &spec).unwrap();
+    s.viewers.get_mut("stations").unwrap().position.center = (99.0, 99.0);
+    s.viewers.get_mut("temps").unwrap().position.center = (99.0, 99.0);
+    assert_eq!(s.go_back().unwrap(), "stations");
+    let after = &s.viewers.get("stations").unwrap().position;
+    assert_eq!(after.center, before.center);
+    assert_eq!(after.elevation, before.elevation);
+    assert!(s.go_back().is_err(), "history exhausted");
+}
+
+#[test]
+fn two_hop_travel_unwinds_last_in_first_out() {
+    let mut s = travel_world();
+    let spec = s.wormhole_under_center("stations").unwrap().unwrap();
+    s.traverse("stations", &spec).unwrap();
+    let back = tioga2_expr::ViewerSpec {
+        destination: "stations".into(),
+        elevation: 30.0,
+        at: (0.0, 0.0),
+        size: (5.0, 5.0),
+    };
+    s.traverse("temps", &back).unwrap();
+    assert_eq!(s.travel_depth(), 2);
+    assert_eq!(s.focus(), Some("stations"));
+    assert_eq!(s.go_back().unwrap(), "temps");
+    assert_eq!(s.go_back().unwrap(), "stations");
+    assert_eq!(s.travel_depth(), 0);
+}
+
+#[test]
+fn traverse_to_a_non_canvas_fails_cleanly() {
+    let mut s = travel_world();
+    let spec = s.wormhole_under_center("stations").unwrap().unwrap();
+    s.traverse("stations", &spec).unwrap();
+    let nowhere = tioga2_expr::ViewerSpec {
+        destination: "nope".into(),
+        elevation: 10.0,
+        at: (0.0, 0.0),
+        size: (1.0, 1.0),
+    };
+    assert!(s.traverse("temps", &nowhere).is_err());
+    assert_eq!(s.focus(), Some("temps"));
+    assert_eq!(s.travel_depth(), 1, "a failed traversal leaves no history");
+}

@@ -1179,9 +1179,19 @@ impl Engine {
             }
             BoxKind::RelOp { op, sel, .. } => {
                 let d = input_displayable(inputs.pop(), op.name())?;
-                let rec = &self.recorder;
-                let out =
-                    apply_to_relation(&d, *sel, |dr| apply_rel_op_recorded(op, dr, rec.as_ref()))?;
+                let rec = self.recorder.as_ref();
+                // One `relop:<name>` span (rows in/out) per relation the
+                // op applies to; a disabled recorder skips the span.
+                let out = apply_to_relation(&d, *sel, |dr| {
+                    if !rec.is_enabled() {
+                        return apply_rel_op(op, dr);
+                    }
+                    let span = rec.span_begin(&format!("relop:{}", op.name()), "");
+                    let result = apply_rel_op(op, dr);
+                    let rows_out = result.as_ref().map_or(-1, |out| out.rel.len() as i64);
+                    rec.span_end(span, &[("rows_in", dr.rel.len() as i64), ("rows_out", rows_out)]);
+                    result
+                })?;
                 Ok(vec![Data::D(out)])
             }
             BoxKind::CompOp { op, sel, .. } => {
@@ -1383,24 +1393,6 @@ fn displayable_relation(d: Option<Data>, what: &str) -> Result<DisplayRelation, 
             Err(FlowError::Eval(format!("{what} expected a relation, got {}", other.type_tag())))
         }
     }
-}
-
-/// [`apply_rel_op`] wrapped in a `relop:<name>` span carrying the
-/// relation's rows in/out.  Disabled recorders short-circuit to the
-/// plain call.
-pub fn apply_rel_op_recorded(
-    op: &RelOpKind,
-    dr: &DisplayRelation,
-    rec: &dyn Recorder,
-) -> Result<DisplayRelation, tioga2_display::DisplayError> {
-    if !rec.is_enabled() {
-        return apply_rel_op(op, dr);
-    }
-    let span = rec.span_begin(&format!("relop:{}", op.name()), "");
-    let result = apply_rel_op(op, dr);
-    let rows_out = result.as_ref().map_or(-1, |out| out.rel.len() as i64);
-    rec.span_end(span, &[("rows_in", dr.rel.len() as i64), ("rows_out", rows_out)]);
-    result
 }
 
 /// Apply one relation-level operation to a display relation.

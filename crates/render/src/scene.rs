@@ -17,7 +17,6 @@ use crate::framebuffer::Framebuffer;
 use crate::hittest::{HitIndex, HitRecord, Provenance};
 use crate::viewport::Viewport;
 use tioga2_expr::{Color, Drawable, Shape};
-use tioga2_obs::Recorder;
 
 /// One positioned drawable.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,31 +67,6 @@ pub fn render_scene(scene: &Scene, vp: &Viewport, fb: &mut Framebuffer) -> HitIn
             });
         }
     }
-    hits
-}
-
-/// [`render_scene`] wrapped in a `render.draw` span recording items
-/// drawn vs. culled, with wall time fed to the recorder's latency
-/// histogram.  With a disabled recorder this is the plain raster pass.
-pub fn render_scene_recorded(
-    scene: &Scene,
-    vp: &Viewport,
-    fb: &mut Framebuffer,
-    rec: &dyn Recorder,
-) -> HitIndex {
-    if !rec.is_enabled() {
-        return render_scene(scene, vp, fb);
-    }
-    let span = rec.span_begin("render.draw", "");
-    let hits = render_scene(scene, vp, fb);
-    rec.span_end(
-        span,
-        &[
-            ("items", scene.items.len() as i64),
-            ("drawn", hits.len() as i64),
-            ("culled", (scene.items.len() - hits.len()) as i64),
-        ],
-    );
     hits
 }
 

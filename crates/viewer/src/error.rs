@@ -6,8 +6,6 @@ use tioga2_display::DisplayError;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ViewError {
     Display(DisplayError),
-    /// Navigation error: unknown canvas, no wormhole, empty history, ...
-    Nav(String),
     /// Slaving constraint error (dimension mismatch, unknown viewer, ...).
     Slave(String),
     /// Viewer configuration error.
@@ -30,7 +28,6 @@ impl fmt::Display for ViewError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ViewError::Display(e) => write!(f, "{e}"),
-            ViewError::Nav(m) => write!(f, "navigation error: {m}"),
             ViewError::Slave(m) => write!(f, "slaving error: {m}"),
             ViewError::Config(m) => write!(f, "viewer error: {m}"),
         }

@@ -148,7 +148,8 @@ impl GroupWindow {
         for (i, member) in self.group.members.iter().enumerate() {
             let v = self.viewers.get(&member_viewer_name(i))?;
             let (x, y, w, h) = self.member_rect(i);
-            let (sub, hit, _) = v.render(member)?;
+            // Members stay untraced until this path takes a recorder.
+            let (sub, hit, _) = v.render(member, tioga2_obs::noop_ref())?;
             fb.blit(&sub, x, y + CAPTION_H as i32);
             fb.draw_rect(
                 x - 1,

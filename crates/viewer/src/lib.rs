@@ -10,23 +10,25 @@
 //! * [`render_pass`] — lowering a composite to a render `Scene` with
 //!   elevation-range culling, visible-region culling and slider
 //!   filtering (the invariance rule for layers lacking a dimension,
-//!   §6.1),
+//!   §6.1); its [`render_composite`] is the one recorded compose → draw
+//!   pass behind canvases, magnifying glasses and the rear view mirror,
 //! * [`Viewer`] — one canvas window with pan/zoom/slider state,
-//! * [`navigator`] — wormhole traversal and **rear view mirrors** (§6.2,
-//!   §6.3): canvases, pass-through at zero elevation, travel history,
-//!   underside rendering, "finding your way home",
 //! * [`slaving`] — §7.1: viewers constrained to move together,
 //! * [`magnifier`] — §7.2: viewers within viewers,
 //! * [`group`] — rendering stitched/replicated groups with per-member
 //!   focus and window-operation propagation (§7.3),
 //! * [`index`] — a uniform-grid spatial index accelerating the visible-
 //!   region browsing query (the paper's \\[Che95\\] pointer).
+//!
+//! Wormhole travel and the rear view mirror (§6.2, §6.3) need several
+//! canvases at once, so they live with the canvases in `tioga2-core`'s
+//! `Session`; the mirror draws through [`render_composite`] like any
+//! other view.
 
 pub mod error;
 pub mod group;
 pub mod index;
 pub mod magnifier;
-pub mod navigator;
 pub mod render_pass;
 pub mod slaving;
 pub mod viewer;
@@ -35,7 +37,6 @@ pub mod window;
 
 pub use error::ViewError;
 pub use index::{compose_scene_indexed, SpatialIndex};
-pub use navigator::{Navigator, TravelRecord};
-pub use render_pass::{compose_scene, data_bounds, CullOptions, Slider};
+pub use render_pass::{compose_scene, data_bounds, render_composite, CullOptions, Slider};
 pub use viewer::{Viewer, ViewerPosition};
 pub use window::window_predicate;

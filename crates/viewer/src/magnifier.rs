@@ -11,12 +11,13 @@
 //! display under a temperature plot).
 
 use crate::error::ViewError;
-use crate::render_pass::{compose_scene, CullOptions};
+use crate::render_pass::{render_composite, CullOptions};
 use crate::viewer::Viewer;
 use tioga2_display::attr_ops::set_active_display;
 use tioga2_display::Composite;
 use tioga2_expr::Color;
-use tioga2_render::{render_scene, Framebuffer, Viewport};
+use tioga2_obs::Recorder;
+use tioga2_render::{Framebuffer, Viewport};
 
 /// A magnifying glass attached to an outer viewer.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,13 +77,14 @@ impl Magnifier {
         Viewport::new(center, elevation, self.rect_px.2, self.rect_px.3)
     }
 
-    /// Render the magnifier's contents and blit them into `fb` (the outer
-    /// canvas framebuffer), framed.
+    /// Render the magnifier's contents (traced through `rec`) and blit
+    /// them into `fb` (the outer canvas framebuffer), framed.
     pub fn render_into(
         &self,
         outer: &Viewer,
         composite: &Composite,
         fb: &mut Framebuffer,
+        rec: &dyn Recorder,
     ) -> Result<(), ViewError> {
         // Alternative display: swap the active display attribute of every
         // layer that has it (Figure 9's Swap Attribute box).
@@ -101,15 +103,14 @@ impl Magnifier {
             }
         };
         let ivp = self.inner_viewport(outer);
-        let scene = compose_scene(
+        let (sub, _, _) = render_composite(
             &inner_composite,
             ivp.elevation,
             &outer.position.sliders,
-            ivp.world_bounds(),
+            &ivp,
             CullOptions::default(),
+            rec,
         )?;
-        let mut sub = Framebuffer::new(self.rect_px.2, self.rect_px.3);
-        let _ = render_scene(&scene, &ivp, &mut sub);
         fb.blit(&sub, self.rect_px.0, self.rect_px.1);
         // Frame the lens.
         fb.draw_rect(
@@ -130,6 +131,7 @@ mod tests {
     use tioga2_display::attr_ops::{add_attribute, set_attribute, AttrRole};
     use tioga2_display::defaults::make_display_relation;
     use tioga2_expr::{parse, ScalarType as T, Value};
+    use tioga2_obs::noop_ref;
     use tioga2_relational::relation::RelationBuilder;
 
     fn temp_composite() -> Composite {
@@ -171,11 +173,11 @@ mod tests {
     fn magnifier_renders_into_outer_canvas() {
         let c = temp_composite();
         let v = outer();
-        let (mut fb, _, _) = v.render(&c).unwrap();
+        let (mut fb, _, _) = v.render(&c, noop_ref()).unwrap();
         let red_before = fb.count_color(Color::RED);
         // Lens centered on the data (screen center is world (45, 25)).
         let m = Magnifier::new((60, 60, 80, 80), 2.0).unwrap();
-        m.render_into(&v, &c, &mut fb).unwrap();
+        m.render_into(&v, &c, &mut fb, noop_ref()).unwrap();
         assert!(fb.count_color(Color::GRAY) > 100, "lens frame drawn");
         // The lens magnifies: red circles inside the lens are larger.
         let red_after = fb.count_color(Color::RED);
@@ -195,8 +197,8 @@ mod tests {
         let mut fb8 = Framebuffer::new(200, 200);
         let m2c = m2.unslaved_at((40.0, 24.0));
         let m8c = m8.unslaved_at((40.0, 24.0));
-        m2c.render_into(&v, &c, &mut fb2).unwrap();
-        m8c.render_into(&v, &c, &mut fb8).unwrap();
+        m2c.render_into(&v, &c, &mut fb2, noop_ref()).unwrap();
+        m8c.render_into(&v, &c, &mut fb8, noop_ref()).unwrap();
         let per_circle_2 = fb2.count_color(Color::RED);
         let per_circle_8 = fb8.count_color(Color::RED);
         assert!(per_circle_8 > per_circle_2, "{per_circle_8} vs {per_circle_2}");
@@ -206,10 +208,10 @@ mod tests {
     fn figure9_alternative_display_lens() {
         let c = temp_composite();
         let v = outer();
-        let (mut fb, _, _) = v.render(&c).unwrap();
+        let (mut fb, _, _) = v.render(&c, noop_ref()).unwrap();
         assert_eq!(fb.count_color(Color::BLUE), 0, "outer shows temperature (red)");
         let m = Magnifier::new((50, 50, 80, 80), 1.0).unwrap().with_display("precip_display");
-        m.render_into(&v, &c, &mut fb).unwrap();
+        m.render_into(&v, &c, &mut fb, noop_ref()).unwrap();
         assert!(fb.count_color(Color::BLUE) > 0, "lens shows precipitation (blue)");
         assert!(fb.count_color(Color::RED) > 0, "outer temperature still visible");
     }

@@ -12,6 +12,7 @@ use tioga2_display::Composite;
 use tioga2_obs::Recorder;
 use tioga2_render::hittest::Provenance;
 use tioga2_render::scene::{Scene, SceneItem};
+use tioga2_render::{render_scene, Framebuffer, HitIndex, Viewport};
 
 /// One slider: a named dimension and its visible range (inclusive).
 #[derive(Debug, Clone, PartialEq)]
@@ -124,25 +125,50 @@ pub fn compose_scene(
     Ok(scene)
 }
 
-/// [`compose_scene`] wrapped in a `render.compose` span recording layer
-/// and item counts; timing lands in the recorder's latency histogram.
-/// With a disabled recorder this is the plain lowering pass.
-pub fn compose_scene_recorded(
+/// The one compose → draw pass every viewer-shaped window runs: canvases
+/// ([`crate::Viewer::render`]), magnifying glasses and the rear-view
+/// mirror.  Composes `composite` as seen from `elevation` within `vp`'s
+/// world rectangle, then rasterizes the scene into a fresh framebuffer of
+/// `vp`'s pixel size.  Returns the pixels, the hit index and the scene.
+///
+/// With an enabled recorder the two passes are traced as `render.compose`
+/// (layers, items) and `render.draw` (items, drawn, culled) spans; a
+/// disabled recorder returns before any span is opened.
+pub fn render_composite(
     composite: &Composite,
     elevation: f64,
     sliders: &[Slider],
-    bounds: (f64, f64, f64, f64),
+    vp: &Viewport,
     opts: CullOptions,
     rec: &dyn Recorder,
-) -> Result<Scene, ViewError> {
+) -> Result<(Framebuffer, HitIndex, Scene), ViewError> {
+    let compose = || compose_scene(composite, elevation, sliders, vp.world_bounds(), opts);
+    let draw = |scene: &Scene| {
+        let mut fb = Framebuffer::new(vp.width_px, vp.height_px);
+        let hits = render_scene(scene, vp, &mut fb);
+        (fb, hits)
+    };
     if !rec.is_enabled() {
-        return compose_scene(composite, elevation, sliders, bounds, opts);
+        let scene = compose()?;
+        let (fb, hits) = draw(&scene);
+        return Ok((fb, hits, scene));
     }
     let span = rec.span_begin("render.compose", "");
-    let result = compose_scene(composite, elevation, sliders, bounds, opts);
-    let items = result.as_ref().map_or(-1, |s| s.len() as i64);
+    let scene = compose();
+    let items = scene.as_ref().map_or(-1, |s| s.len() as i64);
     rec.span_end(span, &[("layers", composite.layers.len() as i64), ("items", items)]);
-    result
+    let scene = scene?;
+    let span = rec.span_begin("render.draw", "");
+    let (fb, hits) = draw(&scene);
+    rec.span_end(
+        span,
+        &[
+            ("items", scene.len() as i64),
+            ("drawn", hits.len() as i64),
+            ("culled", (scene.len() - hits.len()) as i64),
+        ],
+    );
+    Ok((fb, hits, scene))
 }
 
 /// World-space bounding rectangle of the composite's tuples in the two

@@ -1,11 +1,10 @@
 //! One canvas window: a viewer with an (n+1)-dimensional position.
 
 use crate::error::ViewError;
-use crate::render_pass::{compose_scene, compose_scene_recorded, data_bounds, CullOptions, Slider};
+use crate::render_pass::{compose_scene, data_bounds, render_composite, CullOptions, Slider};
 use tioga2_display::Composite;
 use tioga2_obs::Recorder;
-use tioga2_render::scene::render_scene_recorded;
-use tioga2_render::{render_scene, Framebuffer, HitIndex, Scene, Viewport};
+use tioga2_render::{Framebuffer, HitIndex, Scene, Viewport};
 
 /// The (n+1)-dimensional position of a viewer (§2): pan center +
 /// elevation for the screen dimensions, and a range per slider dimension.
@@ -110,36 +109,21 @@ impl Viewer {
     }
 
     /// Render the composite to a fresh framebuffer, returning pixels, the
-    /// hit index, and the scene that produced them.
+    /// hit index, and the scene that produced them; both passes are traced
+    /// through `rec`.
     pub fn render(
-        &self,
-        composite: &Composite,
-    ) -> Result<(Framebuffer, HitIndex, Scene), ViewError> {
-        let scene = self.scene(composite)?;
-        let mut fb = Framebuffer::new(self.size.0, self.size.1);
-        let hits = render_scene(&scene, &self.viewport(), &mut fb);
-        Ok((fb, hits, scene))
-    }
-
-    /// [`Viewer::render`] with both passes (compose + draw) traced
-    /// through `rec`; identical output, zero extra cost when disabled.
-    pub fn render_recorded(
         &self,
         composite: &Composite,
         rec: &dyn Recorder,
     ) -> Result<(Framebuffer, HitIndex, Scene), ViewError> {
-        let vp = self.viewport();
-        let scene = compose_scene_recorded(
+        render_composite(
             composite,
             self.position.elevation,
             &self.position.sliders,
-            vp.world_bounds(),
+            &self.viewport(),
             self.cull,
             rec,
-        )?;
-        let mut fb = Framebuffer::new(self.size.0, self.size.1);
-        let hits = render_scene_recorded(&scene, &vp, &mut fb, rec);
-        Ok((fb, hits, scene))
+        )
     }
 }
 
@@ -149,6 +133,7 @@ mod tests {
     use tioga2_display::attr_ops::{add_attribute, set_attribute, AttrRole};
     use tioga2_display::defaults::make_display_relation;
     use tioga2_expr::{parse, Color, ScalarType as T, Value};
+    use tioga2_obs::noop_ref;
     use tioga2_relational::relation::RelationBuilder;
 
     fn composite() -> Composite {
@@ -175,7 +160,7 @@ mod tests {
         let c = composite();
         let mut v = Viewer::new("main", 200, 200);
         v.fit(&c).unwrap();
-        let (fb, hits, scene) = v.render(&c).unwrap();
+        let (fb, hits, scene) = v.render(&c, noop_ref()).unwrap();
         assert_eq!(scene.len(), 3);
         assert_eq!(hits.len(), 3);
         assert!(fb.count_color(Color::RED) > 0);
@@ -190,7 +175,7 @@ mod tests {
         let mut v = Viewer::new("main", 200, 200);
         v.fit(&c).unwrap();
         v.zoom(0.1);
-        let (_, hits, _) = v.render(&c).unwrap();
+        let (_, hits, _) = v.render(&c, noop_ref()).unwrap();
         assert_eq!(hits.len(), 1, "only the center point remains visible");
     }
 
@@ -206,7 +191,7 @@ mod tests {
         let (px, py) = vp.to_screen(50.0, 25.0);
         v.pan_px(100 - px, 100 - py);
         assert_ne!(v.position.center, before);
-        let (_, hits, _) = v.render(&c).unwrap();
+        let (_, hits, _) = v.render(&c, noop_ref()).unwrap();
         assert!(hits.top_hit(100, 100).is_some(), "panned point under the crosshair");
     }
 
@@ -216,7 +201,7 @@ mod tests {
         let mut v = Viewer::new("main", 200, 200);
         v.fit(&c).unwrap();
         v.set_slider("altitude", 15.0, 25.0).unwrap();
-        let (_, hits, _) = v.render(&c).unwrap();
+        let (_, hits, _) = v.render(&c, noop_ref()).unwrap();
         assert_eq!(hits.len(), 1);
         assert!(v.set_slider("nope", 0.0, 1.0).is_err());
     }
@@ -230,7 +215,7 @@ mod tests {
         let mut v = Viewer::new("main", 100, 100);
         v.fit(&c).unwrap();
         assert_eq!(v.position.elevation, 100.0);
-        let (fb, hits, _) = v.render(&c).unwrap();
+        let (fb, hits, _) = v.render(&c, noop_ref()).unwrap();
         assert_eq!(hits.len(), 0);
         assert_eq!(fb.ink_fraction(), 0.0);
     }

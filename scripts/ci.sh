@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus lint: what every PR must keep green.
 #
+#   no tracked out/                 — generated frames, traces and figures
+#       under out/ are gitignored; the leg fails if `git ls-files out`
+#       lists anything, so regenerated artifacts cannot creep back in
 #   cargo fmt --all -- --check      — formatting is canonical
 #   cargo build --release           — workspace builds clean
 #   cargo test --workspace -q (threads 1 and 4) — every test of every
@@ -66,6 +69,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+TRACKED_OUT=$(git ls-files out)
+[ -z "$TRACKED_OUT" ] || { echo "ci: generated files under out/ are tracked by git:" >&2; echo "$TRACKED_OUT" >&2; exit 1; }
 cargo fmt --all -- --check
 cargo build --release
 TIOGA2_THREADS=1 cargo test --workspace -q
@@ -185,4 +190,4 @@ for key in a5_plan_pushdown a6_parallel_scaling_t1 a6_parallel_scaling_t2 \
         || { echo "ci: BENCH_figures.json is missing '$key'" >&2; exit 1; }
 done
 
-echo "ci: fmt + build + workspace tests (1 and 4 workers) + perfbench tests + clippy + budgets + chaos + kill-recover + fleet-chaos + governed suite + self-monitor + tiogad smoke + kill-restart smoke + figures all green"
+echo "ci: no tracked out/ + fmt + build + workspace tests (1 and 4 workers) + perfbench tests + clippy + budgets + chaos + kill-recover + fleet-chaos + governed suite + self-monitor + tiogad smoke + kill-restart smoke + figures all green"
