@@ -5,8 +5,8 @@
 //! * A2 — elevation-range culling on vs off (§6.1's machinery).
 //! * A3 — Sample as an interactive-response optimization (§4.2: "Sample
 //!   is useful for improving interactive response").
-//! * A4 — visible-region filtering by full scan vs the uniform-grid
-//!   spatial index at deep zoom ([Che95]).
+//! * A4 — a deep-zoom windowed demand answered from the grid index on
+//!   stored columns vs a full scan over method-computed ones ([Che95]).
 //! * A5 — the plan-and-stream layer: box chains lowered to a rewritten
 //!   streaming plan (restrict fusion, window pushdown) vs naive
 //!   box-at-a-time demand.
@@ -160,39 +160,58 @@ fn a3_sample(c: &mut Criterion) {
     g.finish();
 }
 
-/// A4: the [Che95] browsing-query ablation — visible-region filtering by
-/// full scan vs the uniform-grid spatial index, at deep zoom (tiny
-/// visible window over a large canvas).
-fn a4_spatial_index(c: &mut Criterion) {
-    use std::collections::HashMap;
-    use tioga2_viewer::{compose_scene_indexed, SpatialIndex};
-    let mut g = c.benchmark_group("a4_spatial_index");
+/// A4: the [Che95] browsing-query ablation — a windowed planned demand
+/// at deep zoom (a window over ~0.1% of the plane).
+///
+/// * `indexed` — stored `x`/`y`: the plan executor feeds the window
+///   Restrict only the grid index's candidate rows;
+/// * `scan` — the same points with `x`/`y` as methods over stored
+///   `px`/`py`: the index does not apply, so the Restrict reads every row;
+/// * `index_build` — building the grid over stored `x`/`y` once.
+///
+/// Two windows alternate so every demand misses the plan cache.
+fn a4_window_index(c: &mut Criterion) {
+    use tioga2_bench::points_catalog;
+    use tioga2_relational::GridIndex;
+
+    let mut g = c.benchmark_group("a4_window_index");
     g.sample_size(10);
     for &n in &[10_000usize, 200_000] {
-        let composite = scatter_composite(n);
-        // A window covering ~0.1% of the canvas area.
-        let vp = tioga2_render::Viewport::new((50.0, 50.0), 3.0, 640, 480);
-        let bounds = vp.world_bounds();
-        g.bench_with_input(BenchmarkId::new("scan", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(
-                    compose_scene(&composite, 3.0, &[], bounds, CullOptions::default())
-                        .unwrap()
-                        .len(),
-                )
+        let cat = points_catalog(n);
+        let points = cat.snapshot("Points").unwrap();
+        // The same rows with method-computed locations.
+        let computed = tioga2_relational::rename(&points, "x", "px").unwrap();
+        let mut computed = tioga2_relational::rename(&computed, "y", "py").unwrap();
+        computed.add_method("x", tioga2_expr::ScalarType::Float, parse("px").unwrap()).unwrap();
+        computed.add_method("y", tioga2_expr::ScalarType::Float, parse("py").unwrap()).unwrap();
+        cat.register("Computed", computed);
+
+        let windows: Vec<_> = [(500.0, 500.0), (200.0, 700.0)]
+            .iter()
+            .map(|(x, y)| {
+                parse(&format!(
+                    "x >= {x:.1} and x <= {:.1} and y >= {y:.1} and y <= {:.1}",
+                    x + 30.0,
+                    y + 30.0
+                ))
+                .unwrap()
+            })
+            .collect();
+        for (name, table) in [("indexed", "Points"), ("scan", "Computed")] {
+            let mut graph = Graph::new();
+            let t = graph.add(BoxKind::Table(table.into()));
+            let mut engine = Engine::new(cat.clone());
+            let mut i = 0usize;
+            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| {
+                    i += 1;
+                    let w = &windows[i % 2];
+                    black_box(engine.demand_planned_opts(&graph, t, 0, true, Some(w)).unwrap())
+                });
             });
-        });
-        let mut indices = HashMap::new();
-        indices.insert("scatter".to_string(), SpatialIndex::build(&composite.layers[0]).unwrap());
-        g.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(
-                    compose_scene_indexed(&composite, 3.0, &[], bounds, &indices).unwrap().len(),
-                )
-            });
-        });
+        }
         g.bench_with_input(BenchmarkId::new("index_build", n), &n, |b, _| {
-            b.iter(|| black_box(SpatialIndex::build(&composite.layers[0]).unwrap().len()));
+            b.iter(|| black_box(GridIndex::build(points.tuples(), [1, 2])));
         });
     }
     g.finish();
@@ -327,7 +346,7 @@ criterion_group!(
     a1_lazy_vs_eager,
     a2_culling,
     a3_sample,
-    a4_spatial_index,
+    a4_window_index,
     u1_update,
     a5_plan_pushdown
 );

@@ -4,7 +4,7 @@
 //! and a second demand is pure cache hits.
 
 use std::sync::Arc;
-use tioga2_bench::{build_figure1, build_figure7, catalog, session};
+use tioga2_bench::{build_figure1, build_figure7, catalog, points_catalog, session};
 use tioga2_obs::{InMemoryRecorder, Recorder};
 
 #[test]
@@ -75,6 +75,9 @@ const DOCUMENTED_COUNTERS: &[&str] = &[
     "plan.cache_hits",
     "plan.parallel.segments",
     "plan.parallel.rows",
+    "plan.window_index.probes",
+    "plan.window_index.builds",
+    "plan.window_index.fallbacks",
 ];
 /// `plan.rewrite.<rule>` counters are dynamic per rewrite rule.
 const DOCUMENTED_COUNTER_PREFIXES: &[&str] = &["plan.rewrite."];
@@ -116,6 +119,19 @@ fn counter_and_span_names_match_design_doc() {
     assert!(s.undo());
     assert!(s.redo());
     s.refresh_sys_tables().expect("sys refresh invalidates caches");
+
+    // A windowed canvas over stored x/y: the fitted frame's window covers
+    // every row (the index probe falls back to the scan), the zoomed one
+    // reads only the grid index's candidates.
+    let mut pts = session(points_catalog(20_000));
+    pts.set_recorder(rec.clone());
+    let t = pts.add_table("Points").expect("table");
+    let r = pts.restrict(t, "mass >= 0.0").expect("restrict");
+    pts.add_viewer(r, "pts").expect("viewer");
+    pts.render("pts").expect("fit");
+    pts.render("pts").expect("fitted window");
+    pts.zoom("pts", 0.05).expect("zoom");
+    pts.render("pts").expect("zoomed window");
 
     // Every emitted counter is documented.
     let counters = rec.counters();

@@ -49,7 +49,8 @@ pub struct OpNode {
     pub cache: CacheStatus,
     /// Empty for operators present in the user's program; `"window"` for
     /// the viewer-synthesized window restrict, `"rewritten"` for nodes
-    /// the optimizer produced or moved.
+    /// the optimizer produced or moved, `"window-index"` for a source
+    /// whose scan read only a grid index's candidate rows.
     pub provenance: String,
     /// Workers that executed the parallel segment rooted here; 0 when
     /// this node ran serially.

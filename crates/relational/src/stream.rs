@@ -30,7 +30,7 @@ use crate::error::RelError;
 use crate::fault::FaultPlan;
 use crate::govern::{BudgetMeter, GOVERN_CHECK_PERIOD};
 use crate::ops;
-use crate::relation::{Method, Relation};
+use crate::relation::{Method, Relation, Store};
 use crate::schema::Schema;
 use crate::tuple::{Tuple, TupleContext};
 use rand::rngs::StdRng;
@@ -111,7 +111,7 @@ impl OpCell {
 enum Inner {
     /// The untouched tuple store of the scanned relation: collecting this
     /// shares the `Arc` instead of copying.
-    Whole(Arc<Vec<Tuple>>),
+    Whole(Arc<Store>),
     Iter(TupleIter),
 }
 
@@ -526,7 +526,7 @@ struct PartOut {
 ///   fast-forwards the seeded RNG by its partition's start offset to
 ///   reproduce the serial draw sequence exactly.
 pub struct ParPipeline {
-    src: Arc<Vec<Tuple>>,
+    src: Arc<Store>,
     stages: Vec<ParStage>,
     /// Every stage so far passes each input tuple through exactly once
     /// (only projections/renames below): required for a Sample stage's

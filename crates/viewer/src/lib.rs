@@ -16,9 +16,7 @@
 //! * [`slaving`] — §7.1: viewers constrained to move together,
 //! * [`magnifier`] — §7.2: viewers within viewers,
 //! * [`group`] — rendering stitched/replicated groups with per-member
-//!   focus and window-operation propagation (§7.3),
-//! * [`index`] — a uniform-grid spatial index accelerating the visible-
-//!   region browsing query (the paper's \\[Che95\\] pointer).
+//!   focus and window-operation propagation (§7.3).
 //!
 //! Wormhole travel and the rear view mirror (§6.2, §6.3) need several
 //! canvases at once, so they live with the canvases in `tioga2-core`'s
@@ -27,7 +25,6 @@
 
 pub mod error;
 pub mod group;
-pub mod index;
 pub mod magnifier;
 pub mod render_pass;
 pub mod slaving;
@@ -36,7 +33,6 @@ pub mod widgets;
 pub mod window;
 
 pub use error::ViewError;
-pub use index::{compose_scene_indexed, SpatialIndex};
 pub use render_pass::{compose_scene, data_bounds, render_composite, CullOptions, Slider};
 pub use viewer::{Viewer, ViewerPosition};
 pub use window::window_predicate;

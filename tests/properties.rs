@@ -387,38 +387,4 @@ proptest! {
             prop_assert!(!lo.contains(&t.row_id));
         }
     }
-
-    /// The spatial index answers arbitrary window queries identically to
-    /// a brute-force scan.
-    #[test]
-    fn spatial_index_matches_scan(
-        rel in arb_relation(),
-        x0 in -2e6f64..2e6,
-        y0 in -2e6f64..2e6,
-        w in 0.0f64..4e6,
-        h in 0.0f64..4e6,
-    ) {
-        use tioga2::display::defaults::make_display_relation;
-        use tioga2::viewer::SpatialIndex;
-        let mut dr = make_display_relation(rel, "t").unwrap();
-        dr.rel.set_method("x", ScalarType::Float, pred("v")).unwrap();
-        dr.rel
-            .set_method("y", ScalarType::Float, pred("to_float(k % 1000)"))
-            .unwrap();
-        let index = SpatialIndex::build(&dr).unwrap();
-        let got = index.query(x0, y0, x0 + w, y0 + h);
-        let mut want = Vec::new();
-        for seq in 0..dr.rel.len() {
-            let pos = dr.tuple_position(seq).unwrap();
-            if !pos[0].is_nan()
-                && pos[0] >= x0
-                && pos[0] <= x0 + w
-                && pos[1] >= y0
-                && pos[1] <= y0 + h
-            {
-                want.push(seq);
-            }
-        }
-        prop_assert_eq!(got, want);
-    }
 }
