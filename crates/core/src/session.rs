@@ -2336,14 +2336,10 @@ impl Session {
         // patched in place; the rest fall back to selective eviction of
         // the edited table's demand cone, so cached plans over unrelated
         // tables keep hitting.  `invalidate_all` is never reached from
-        // here.
-        let delta = tioga2_relational::update::install_update_delta(
-            &self.env.catalog,
-            table,
-            row_id,
-            changes,
-        )?;
-        self.engine.apply_delta(&self.graph, &delta);
+        // here.  The engine installs it (into `env.catalog`, which it
+        // shares) so its own snapshot of the table does not force a
+        // copy of the whole table.
+        self.engine.install_update(&self.graph, table, row_id, changes)?;
         let mut enc = Vec::with_capacity(changes.len());
         for c in changes {
             enc.push((c.field.clone(), rel_persist::encode_value(&c.value)?));

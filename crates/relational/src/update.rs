@@ -32,12 +32,33 @@ pub fn update_row(
     row_id: u64,
     changes: &[FieldChange],
 ) -> Result<(), RelError> {
+    // Validate all changes before applying any (all-or-nothing).
+    let (pos, idx_vals) = validate(rel, row_id, changes)?;
+    let mut t = rel.tuples()[pos].clone();
+    for (i, v) in idx_vals {
+        t = t.with_value(i, v);
+    }
+    rel.tuples_mut()[pos] = t;
+    Ok(())
+}
+
+/// The error [`update_row`] would return for these arguments, if any,
+/// without changing `rel`.
+pub fn check_update(rel: &Relation, row_id: u64, changes: &[FieldChange]) -> Result<(), RelError> {
+    validate(rel, row_id, changes).map(|_| ())
+}
+
+/// The row's position and each change as a `(field index, value)` pair.
+fn validate(
+    rel: &Relation,
+    row_id: u64,
+    changes: &[FieldChange],
+) -> Result<(usize, Vec<(usize, Value)>), RelError> {
     let pos = rel
         .tuples()
         .iter()
         .position(|t| t.row_id == row_id)
         .ok_or_else(|| RelError::Update(format!("no row with id {row_id}")))?;
-    // Validate all changes before applying any (all-or-nothing).
     let mut idx_vals = Vec::with_capacity(changes.len());
     for ch in changes {
         let i = rel.schema().index_of(&ch.field).ok_or_else(|| {
@@ -59,12 +80,7 @@ pub fn update_row(
         }
         idx_vals.push((i, ch.value.clone()));
     }
-    let mut t = rel.tuples()[pos].clone();
-    for (i, v) in idx_vals {
-        t = t.with_value(i, v);
-    }
-    rel.tuples_mut()[pos] = t;
-    Ok(())
+    Ok((pos, idx_vals))
 }
 
 /// Install changes against the base table `table` in `catalog` — the
