@@ -2,7 +2,7 @@
 //!
 //! Writes `out/figN_*.ppm` (+ `.svg` where a single scene exists), prints
 //! the textual report recorded in EXPERIMENTS.md, and emits
-//! `BENCH_figures.json` — per-figure wall time, engine counters
+//! `out/BENCH_figures.json` — per-figure wall time, engine counters
 //! (box_evals / cache_hits / rows in+out), and latency-histogram
 //! quantiles collected by an [`InMemoryRecorder`] attached to each
 //! figure's session.
@@ -60,7 +60,7 @@ fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Collects per-figure stats and serializes them to `BENCH_figures.json`.
+/// Collects per-figure stats and serializes them to `out/BENCH_figures.json`.
 #[derive(Default)]
 struct Report {
     figures: Vec<FigureStats>,
@@ -1075,9 +1075,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.push_external("a12_fsync_on", on, FSYNC_SESSIONS, demands, vec![]);
     }
 
-    std::fs::write("BENCH_figures.json", report.to_json())?;
+    std::fs::write("out/BENCH_figures.json", report.to_json())?;
     println!(
-        "all figures regenerated into out/; BENCH_figures.json covers {} figures",
+        "all figures regenerated into out/; out/BENCH_figures.json covers {} figures",
         report.figures.len()
     );
     Ok(())

@@ -6,16 +6,13 @@
 //! This module is the single source of truth for all three:
 //!
 //! * [`Command`] — the typed surface.  `parse` turns one line into a
-//!   command, `format` renders the canonical line back (`parse ∘ format`
-//!   is the identity, pinned by round-trip tests), so any front end —
-//!   the REPL, `tiogad`'s wire protocol, a script runner — speaks the
-//!   same language.
+//!   command, so any front end — the REPL, `tiogad`'s wire protocol, a
+//!   script runner — speaks the same language.
 //! * [`dispatch`] — executes one command against a [`Session`].  Errors
 //!   are strings and never poison the session (edits roll back).
 //! * [`COMMANDS`] — the spec table.  `help_text()` is generated from it,
 //!   and each entry carries a canonical `example` that the tests parse,
-//!   format, and re-parse, so the help text cannot drift from the
-//!   grammar again.
+//!   so the help text cannot drift from the grammar again.
 
 use crate::{CoreError, Session};
 use tioga2_dataflow::NodeId;
@@ -190,12 +187,12 @@ pub struct CommandSpec {
     pub usage: &'static str,
     /// One-line summary (usually the paper operation's name).
     pub summary: &'static str,
-    /// A canonical line that must parse, format, and re-parse to the
-    /// same `Command` (pinned by the round-trip tests).
+    /// A canonical line that must parse to a `Command` (pinned by the
+    /// parse tests).
     pub example: &'static str,
 }
 
-/// The full command table — `help_text()` and the round-trip tests both
+/// The full command table — `help_text()` and the parse tests both
 /// derive from it.
 pub const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
@@ -614,10 +611,6 @@ fn node_list(tok: &str) -> Result<Vec<NodeId>, String> {
     tok.split(',').map(node).collect()
 }
 
-fn fmt_nodes(ids: &[NodeId]) -> String {
-    ids.iter().map(|n| n.0.to_string()).collect::<Vec<_>>().join(",")
-}
-
 fn scalar_type(tok: &str) -> Result<ScalarType, String> {
     ScalarType::parse(tok).ok_or_else(|| format!("'{tok}' is not a type"))
 }
@@ -636,28 +629,12 @@ fn layout(tok: &str) -> Result<Layout, String> {
     }
 }
 
-fn layout_token(l: &Layout) -> String {
-    match l {
-        Layout::Horizontal => "h".to_string(),
-        Layout::Vertical => "v".to_string(),
-        Layout::Tabular { cols } => format!("tab:{cols}"),
-    }
-}
-
 fn attr_role(tok: &str) -> Result<AttrRole, String> {
     match tok {
         "plain" => Ok(AttrRole::Plain),
         "location" => Ok(AttrRole::Location),
         "display" => Ok(AttrRole::Display),
         other => Err(format!("'{other}' is not an attribute role")),
-    }
-}
-
-fn attr_role_token(r: &AttrRole) -> &'static str {
-    match r {
-        AttrRole::Plain => "plain",
-        AttrRole::Location => "location",
-        AttrRole::Display => "display",
     }
 }
 
@@ -1199,165 +1176,6 @@ impl Command {
             other => return Err(format!("unknown command '{other}'; try 'help'")),
         };
         Ok(Some(c))
-    }
-
-    /// Render the canonical command line: `parse(format(c)) == c` for
-    /// every command (pinned by the round-trip tests).
-    pub fn format(&self) -> String {
-        use Command::*;
-        match self {
-            Quit => "quit".to_string(),
-            Help(None) => "help".to_string(),
-            Help(Some(op)) => format!("help {op}"),
-            Ops => "ops".to_string(),
-            Tables => "tables".to_string(),
-            Boxes => "boxes".to_string(),
-            Programs(ProgramsCmd::List) => "programs".to_string(),
-            Programs(ProgramsCmd::Export(p)) => format!("programs export {p}"),
-            Programs(ProgramsCmd::Restore(p)) => format!("programs restore {p}"),
-            AddTable { name } => format!("table {name}"),
-            Restrict { node, predicate } => format!("restrict {} {predicate}", node.0),
-            Project { node, fields } => format!("project {} {}", node.0, fields.join(",")),
-            Sample { node, p, seed } => format!("sample {} {p} {seed}", node.0),
-            Sort { node, keys } => {
-                let spec: Vec<String> = keys
-                    .iter()
-                    .map(|(a, asc)| if *asc { a.clone() } else { format!("{a}:desc") })
-                    .collect();
-                format!("sort {} {}", node.0, spec.join(","))
-            }
-            Join { left, right, predicate } => {
-                format!("join {} {} {predicate}", left.0, right.0)
-            }
-            Switch { node, predicate } => format!("switch {} {predicate}", node.0),
-            Aggregate { node, keys, aggs } => {
-                let k = if keys.is_empty() { "-".to_string() } else { keys.join(",") };
-                let specs: Vec<String> = aggs
-                    .iter()
-                    .map(|a| {
-                        format!(
-                            "{}:{}:{}",
-                            a.func.name(),
-                            a.attr.as_deref().unwrap_or("-"),
-                            a.output
-                        )
-                    })
-                    .collect();
-                format!("aggregate {} {k} {}", node.0, specs.join(","))
-            }
-            Distinct { node, attrs } => {
-                if attrs.is_empty() {
-                    format!("distinct {}", node.0)
-                } else {
-                    format!("distinct {} {}", node.0, attrs.join(","))
-                }
-            }
-            Limit { node, offset, count } => format!("limit {} {offset} {count}", node.0),
-            SetAttr { node, name, ty, def } => format!("setattr {} {name} {ty} {def}", node.0),
-            AddAttr { node, name, ty, role, def } => {
-                format!("addattr {} {name} {ty} {} {def}", node.0, attr_role_token(role))
-            }
-            RmAttr { node, name } => format!("rmattr {} {name}", node.0),
-            SwapAttrs { node, a, b } => format!("swap {} {a} {b}", node.0),
-            ScaleAttr { node, attr, k } => format!("scale {} {attr} {k}", node.0),
-            TranslateAttr { node, attr, c } => format!("translate {} {attr} {c}", node.0),
-            Combine { node, a, b, dx, dy, new } => {
-                format!("combine {} {a} {b} {dx} {dy} {new}", node.0)
-            }
-            SetRange { node, lo, hi } => format!("range {} {lo} {hi}", node.0),
-            LayerName { node, name } => format!("layername {} {name}", node.0),
-            Overlay { bottom, top } => format!("overlay {} {}", bottom.0, top.0),
-            Shuffle { node, layer } => format!("shuffle {} {layer}", node.0),
-            Stitch { members, layout } => {
-                format!("stitch {} {}", fmt_nodes(members), layout_token(layout))
-            }
-            Replicate { node, attr } => format!("replicate {} enum:{attr}", node.0),
-            Const { ty, text } => format!("const {ty} {text}"),
-            SetConst { node, ty, text } => format!("setconst {} {ty} {text}", node.0),
-            RestrictP { node, params, predicate } => {
-                let p: Vec<String> =
-                    params.iter().map(|(n, src)| format!("{n}={}", src.0)).collect();
-                format!("restrictp {} {} {predicate}", node.0, p.join(","))
-            }
-            Viewer { node, canvas } => format!("viewer {} {canvas}", node.0),
-            CloneCanvas { canvas, new } => format!("clone {canvas} {new}"),
-            Encapsulate { region, name, holes } => {
-                let mut out = format!("encapsulate {} {name}", fmt_nodes(region));
-                for h in holes {
-                    out.push_str(&format!(" hole:{}", fmt_nodes(h)));
-                }
-                out
-            }
-            UseBox { name, inputs } => {
-                if inputs.is_empty() {
-                    format!("usebox {name}")
-                } else {
-                    format!("usebox {name} {}", fmt_nodes(inputs))
-                }
-            }
-            Tee { node, port } => format!("tee {} {port}", node.0),
-            Delete { node } => format!("delete {}", node.0),
-            Candidates { node } => format!("candidates {}", node.0),
-            Show { node, rows: None } => format!("show {}", node.0),
-            Show { node, rows: Some(r) } => format!("show {} {r}", node.0),
-            Program => "program".to_string(),
-            Diagram { file } => format!("diagram {file}"),
-            Render { canvas, file: None } => format!("render {canvas}"),
-            Render { canvas, file: Some(f) } => format!("render {canvas} {f}"),
-            ElevMap { canvas } => format!("elevmap {canvas}"),
-            CycleMap { canvas } => format!("cyclemap {canvas}"),
-            Pan { canvas, dx, dy } => format!("pan {canvas} {dx} {dy}"),
-            Zoom { canvas, factor } => format!("zoom {canvas} {factor}"),
-            Slider { canvas, dim, lo, hi } => format!("slider {canvas} {dim} {lo} {hi}"),
-            Slave { a, b } => format!("slave {a} {b}"),
-            Unslave { a, b } => format!("unslave {a} {b}"),
-            Click { canvas, x, y } => format!("click {canvas} {x} {y}"),
-            Update { canvas, x, y, assigns } => {
-                let a: Vec<String> = assigns.iter().map(|(f, t)| format!("{f}={t}")).collect();
-                format!("update {canvas} {x} {y} {}", a.join(" "))
-            }
-            Back => "back".to_string(),
-            Undo => "undo".to_string(),
-            Redo => "redo".to_string(),
-            Save { name } => format!("save {name}"),
-            Load { name } => format!("load {name}"),
-            NewProgram => "new".to_string(),
-            Explain { node } => format!(":explain {}", node.0),
-            ExplainAnalyze { node } => format!(":explain analyze {}", node.0),
-            Sys => ":sys".to_string(),
-            Stats => ":stats".to_string(),
-            Threads(None) => ":threads".to_string(),
-            Threads(Some(n)) => format!(":threads {n}"),
-            Budget(BudgetCmd::Show) => ":budget".to_string(),
-            Budget(BudgetCmd::Off) => ":budget off".to_string(),
-            Budget(BudgetCmd::Set(s)) => format!(":budget {s}"),
-            Faults(FaultsCmd::Show) => ":faults".to_string(),
-            Faults(FaultsCmd::Off) => ":faults off".to_string(),
-            Faults(FaultsCmd::Arm(s)) => format!(":faults {s}"),
-            Trace(TraceCmd::On) => ":trace on".to_string(),
-            Trace(TraceCmd::Off) => ":trace off".to_string(),
-            Trace(TraceCmd::Export(p)) => format!(":trace export {p}"),
-            Trace(TraceCmd::Prom(p)) => format!(":trace prom {p}"),
-            Trace(TraceCmd::Folded(p)) => format!(":trace folded {p}"),
-            Slowlog(SlowlogCmd::Show) => ":slowlog".to_string(),
-            Slowlog(SlowlogCmd::Off) => ":slowlog off".to_string(),
-            Slowlog(SlowlogCmd::Clear) => ":slowlog clear".to_string(),
-            Slowlog(SlowlogCmd::Threshold(ms)) => format!(":slowlog {ms}"),
-            Journal(JournalCmd::Status) => ":journal".to_string(),
-            Journal(JournalCmd::Tail(None)) => ":journal tail".to_string(),
-            Journal(JournalCmd::Tail(Some(n))) => format!(":journal tail {n}"),
-            Journal(JournalCmd::Save(p)) => format!(":journal save {p}"),
-            Journal(JournalCmd::Snapshot) => ":journal snapshot".to_string(),
-            Journal(JournalCmd::Recover(p)) => format!(":journal recover {p}"),
-            Rewind(None) => ":rewind".to_string(),
-            Rewind(Some(n)) => format!(":rewind {n}"),
-            Replay(None) => ":replay".to_string(),
-            Replay(Some(n)) => format!(":replay {n}"),
-            Watch(WatchCmd::Show) => ":watch".to_string(),
-            Watch(WatchCmd::Off) => ":watch off".to_string(),
-            Watch(WatchCmd::All) => ":watch all".to_string(),
-            Watch(WatchCmd::Kind(k)) => format!(":watch {k}"),
-        }
     }
 
     /// Demand-class commands pull data through the engine (heavy); the
@@ -1951,16 +1769,11 @@ mod tests {
     use tioga2_relational::Catalog;
 
     #[test]
-    fn every_spec_example_round_trips() {
+    fn every_spec_example_parses() {
         for spec in COMMANDS {
-            let parsed = Command::parse(spec.example)
+            Command::parse(spec.example)
                 .unwrap_or_else(|e| panic!("example '{}' failed: {e}", spec.example))
                 .unwrap_or_else(|| panic!("example '{}' parsed to nothing", spec.example));
-            let formatted = parsed.format();
-            let reparsed = Command::parse(&formatted)
-                .unwrap_or_else(|e| panic!("canonical '{formatted}' failed: {e}"))
-                .unwrap_or_else(|| panic!("canonical '{formatted}' parsed to nothing"));
-            assert_eq!(parsed, reparsed, "round trip broke for '{}'", spec.example);
         }
     }
 
@@ -1989,7 +1802,7 @@ mod tests {
     }
 
     #[test]
-    fn variant_round_trips_beyond_the_examples() {
+    fn variants_beyond_the_examples_parse() {
         // Optional fields, empty lists, and alias forms.
         for line in [
             "show 3",
@@ -2010,13 +1823,15 @@ mod tests {
             "help",
             "programs",
         ] {
-            let c = Command::parse(line).unwrap().unwrap();
-            let again = Command::parse(&c.format()).unwrap().unwrap();
-            assert_eq!(c, again, "round trip broke for '{line}'");
+            assert!(
+                matches!(Command::parse(line), Ok(Some(_))),
+                "'{line}' did not parse to a command"
+            );
         }
-        // Colon-less aliases normalize to the colon form.
-        let c = Command::parse("explain 3").unwrap().unwrap();
-        assert_eq!(c.format(), ":explain 3");
+        // Colon-less aliases parse to the colon form's command.
+        let explain = Ok(Some(Command::Explain { node: NodeId(3) }));
+        assert_eq!(Command::parse("explain 3"), explain);
+        assert_eq!(Command::parse(":explain 3"), explain);
         let c = Command::parse("exit").unwrap().unwrap();
         assert_eq!(c, Command::Quit);
     }

@@ -110,14 +110,12 @@ pub struct Session {
     /// set, every demand the session issues runs under it; `None` leaves
     /// whatever the engine inherited (e.g. from `TIOGA2_BUDGET`).
     budget: Option<Budget>,
-    /// Cancel token of the most recently armed demand.  Each render arms
-    /// a fresh token and cancels the previous one, so a superseding
-    /// render aborts any still-running predecessor cooperatively.
-    inflight: Option<CancelToken>,
-    /// Mirror of `inflight` shared with [`SupersedeHandle`]s, so other
-    /// threads (e.g. a `tiogad` connection thread) can cancel this
-    /// session's in-flight demand while the session worker is blocked
-    /// inside it.
+    /// Cancel token of the most recently armed demand, shared with
+    /// [`SupersedeHandle`]s.  Each render arms a fresh token and cancels
+    /// the previous one, so a superseding render aborts any
+    /// still-running predecessor cooperatively; other threads (e.g. a
+    /// `tiogad` connection thread) cancel through the same slot while
+    /// the session worker is blocked inside the demand.
     inflight_shared: Arc<std::sync::Mutex<Option<CancelToken>>>,
     /// The session event journal: every edit, gesture, render, update,
     /// config change and demand outcome, plus periodic snapshot markers.
@@ -184,7 +182,6 @@ impl Session {
             validate_edits: true,
             recorder: tioga2_obs::noop(),
             budget: None,
-            inflight: None,
             inflight_shared: Arc::new(std::sync::Mutex::new(None)),
             events,
             op_depth: 0,
@@ -299,13 +296,6 @@ impl Session {
         self.budget.as_ref()
     }
 
-    /// Cancel token of the most recently armed demand.  Another thread
-    /// may hold a clone and `cancel()` it to abort that demand
-    /// cooperatively; the session arms a fresh token per render.
-    pub fn inflight_token(&self) -> Option<CancelToken> {
-        self.inflight.clone()
-    }
-
     /// A clonable, thread-safe handle onto this session's in-flight
     /// demand.  `tiogad` hands one to each connection thread so a newly
     /// arriving demand-class command can cancel the demand the session
@@ -320,10 +310,14 @@ impl Session {
     /// in-flight one instead of queueing behind it).
     fn arm_demand(&mut self) -> CancelToken {
         let token = CancelToken::new();
-        if let Some(prev) = self.inflight.replace(token.clone()) {
+        let prev = self
+            .inflight_shared
+            .lock()
+            .expect("no thread panics while holding the in-flight slot")
+            .replace(token.clone());
+        if let Some(prev) = prev {
             prev.cancel();
         }
-        *self.inflight_shared.lock().unwrap() = Some(token.clone());
         match &self.budget {
             Some(b) => self.engine.set_budget(Some(b.clone().with_token(token.clone()))),
             None => self.engine.set_cancel_token(Some(token.clone())),
@@ -1518,7 +1512,7 @@ impl Session {
     /// rows, wall time) lands in the session event journal.
     pub fn demand(&mut self, node: NodeId, port: usize) -> Result<Displayable, CoreError> {
         self.arm_demand();
-        Ok(self.engine.demand_displayable_planned(&self.graph, node, port)?)
+        Ok(self.engine.demand_planned(&self.graph, node, port)?.into_displayable()?)
     }
 
     /// Explain the streaming plan for a node's output: the lowered chain,

@@ -39,7 +39,9 @@ fn busy_session() -> Session {
 /// Everything observable about a session that recovery must reproduce:
 /// framebuffer bytes per canvas, catalog relations (serialized), saved
 /// programs, focus, and undo depth.
-fn fingerprint(s: &mut Session) -> (Vec<(String, Vec<u8>)>, Vec<(String, String)>, Vec<String>) {
+type Fingerprint = (Vec<(String, Vec<u8>)>, Vec<(String, String)>, Vec<String>);
+
+fn fingerprint(s: &mut Session) -> Fingerprint {
     let mut frames = Vec::new();
     for c in s.canvas_names() {
         let f = s.render(&c).unwrap();

@@ -244,11 +244,6 @@ impl BoxKind {
     pub fn rel(op: RelOpKind) -> BoxKind {
         BoxKind::RelOp { op, shape: PortType::R, sel: Selection::default() }
     }
-
-    /// Convenience constructor for the common C-shaped composite op.
-    pub fn comp(op: CompOpKind) -> BoxKind {
-        BoxKind::CompOp { op, shape: PortType::C, sel: Selection::default() }
-    }
 }
 
 /// A named, instantiable box template — the "menu of all boxes available"

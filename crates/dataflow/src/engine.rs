@@ -793,17 +793,15 @@ impl Engine {
         force_trace: bool,
     ) -> Result<(Data, Option<DemandTrace>), FlowError> {
         let journal_armed = self.journal.as_ref().is_some_and(|j| j.is_enabled());
-        if !journal_armed {
-            return self.contain(|e| {
-                e.demand_planned_inner(graph, node, port, rewrite, window, force_trace)
-            });
-        }
-        // Journaling armed: record the demand's lifecycle outcome —
-        // including aborts classified by `error_status` — as one event.
         let t0 = Instant::now();
         let id_before = self.next_demand_id;
         let result = self
             .contain(|e| e.demand_planned_inner(graph, node, port, rewrite, window, force_trace));
+        if !journal_armed {
+            return result;
+        }
+        // Journaling armed: record the demand's lifecycle outcome —
+        // including aborts classified by `error_status` — as one event.
         // A pushed trace consumed `id_before`; otherwise claim it so
         // journal demand ids stay aligned with trace ids.
         if self.next_demand_id == id_before {
@@ -1017,16 +1015,6 @@ impl Engine {
         let trace = push_trace(self, &es, "ok");
         self.recorder.observe_ns("demand.latency_ns", t0.elapsed().as_nanos() as u64);
         Ok((data, trace))
-    }
-
-    /// [`Engine::demand_planned`], unwrapped to a displayable.
-    pub fn demand_displayable_planned(
-        &mut self,
-        graph: &Graph,
-        node: NodeId,
-        port: usize,
-    ) -> Result<Displayable, FlowError> {
-        Ok(self.demand_planned(graph, node, port)?.into_displayable()?)
     }
 
     /// The display-relation *header* (schema + methods + metadata, no

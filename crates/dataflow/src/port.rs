@@ -78,29 +78,12 @@ pub enum Data {
 }
 
 impl Data {
-    /// The most specific port type of this datum.
-    pub fn port_type(&self) -> PortType {
-        match self {
-            Data::D(Displayable::R(_)) => PortType::R,
-            Data::D(Displayable::C(_)) => PortType::C,
-            Data::D(Displayable::G(_)) => PortType::G,
-            Data::Scalar(v) => PortType::Scalar(v.scalar_type().unwrap_or(ScalarType::Text)),
-        }
-    }
-
     pub fn into_displayable(self) -> Result<Displayable, DisplayError> {
         match self {
             Data::D(d) => Ok(d),
             Data::Scalar(v) => {
                 Err(DisplayError::Op(format!("expected a displayable, got scalar {v}")))
             }
-        }
-    }
-
-    pub fn as_displayable(&self) -> Option<&Displayable> {
-        match self {
-            Data::D(d) => Some(d),
-            Data::Scalar(_) => None,
         }
     }
 }

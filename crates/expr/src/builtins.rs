@@ -27,65 +27,6 @@ fn type_err(name: &str, args: &[T]) -> ExprError {
     ExprError::Type(format!("{name}({}) is not defined", shown.join(", ")))
 }
 
-/// True if `name` is a builtin function.
-pub fn builtin_exists(name: &str) -> bool {
-    const NAMES: &[&str] = &[
-        "abs",
-        "sqrt",
-        "floor",
-        "ceil",
-        "round",
-        "ln",
-        "exp",
-        "pow",
-        "min",
-        "max",
-        "clamp",
-        "sin",
-        "cos",
-        "tan",
-        "atan2",
-        "pi",
-        "log10",
-        "hypot",
-        "degrees",
-        "radians",
-        "sign",
-        "to_int",
-        "to_float",
-        "to_text",
-        "len",
-        "lower",
-        "upper",
-        "substr",
-        "contains",
-        "starts_with",
-        "timestamp",
-        "epoch",
-        "year",
-        "month",
-        "day",
-        "hour",
-        "minute",
-        "make_time",
-        "point",
-        "line",
-        "rect",
-        "circle",
-        "polygon",
-        "text",
-        "viewer",
-        "offset",
-        "filled",
-        "outlined",
-        "stroke",
-        "textscale",
-        "recolor",
-        "nodraw",
-    ];
-    NAMES.contains(&name)
-}
-
 /// Static result type of `name` applied to `args`, or a type error.
 pub fn builtin_type(name: &str, args: &[T]) -> Result<T, ExprError> {
     let a = args;

@@ -114,13 +114,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_text(&self) -> Option<&str> {
         match self {
             Value::Text(s) => Some(s),

@@ -866,21 +866,7 @@ pub fn header_line() -> String {
 /// Parse a serialized journal: header line + one event per line.
 /// Blank lines are tolerated; an unknown format or version is rejected.
 pub fn parse_jsonl(text: &str) -> Result<Vec<(u64, SessionEvent)>, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines.next().ok_or("empty journal")?;
-    let h = Json::parse(header).map_err(|e| format!("bad journal header: {e}"))?;
-    if h.str_field("format").as_deref() != Ok("tioga2-journal") {
-        return Err("not a tioga2 journal (bad format field)".into());
-    }
-    let version = h.u64_field("version").map_err(|e| format!("bad journal header: {e}"))?;
-    if version != JOURNAL_VERSION {
-        return Err(format!("unsupported journal version {version} (want {JOURNAL_VERSION})"));
-    }
-    let mut events = Vec::new();
-    for (i, line) in lines.enumerate() {
-        events.push(parse_event_line(line).map_err(|e| format!("journal line {}: {e}", i + 2))?);
-    }
-    Ok(events)
+    parse_journal(text, false).map(|(events, _)| events)
 }
 
 /// [`parse_jsonl`], but tolerant of a torn *final* record: a crash
@@ -890,6 +876,16 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<(u64, SessionEvent)>, String> {
 /// anywhere before the final line is still a hard error — that is not a
 /// crash signature, it is a damaged file.
 pub fn parse_jsonl_recovering(text: &str) -> Result<(Vec<(u64, SessionEvent)>, bool), String> {
+    parse_journal(text, true)
+}
+
+/// The one journal reader behind both entry points: with `drop_torn_tail`
+/// an undecodable final line is dropped and reported as `true`, without
+/// it every bad line is an error.
+fn parse_journal(
+    text: &str,
+    drop_torn_tail: bool,
+) -> Result<(Vec<(u64, SessionEvent)>, bool), String> {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     let header = lines.first().ok_or("empty journal")?;
     let h = Json::parse(header).map_err(|e| format!("bad journal header: {e}"))?;
@@ -901,11 +897,11 @@ pub fn parse_jsonl_recovering(text: &str) -> Result<(Vec<(u64, SessionEvent)>, b
         return Err(format!("unsupported journal version {version} (want {JOURNAL_VERSION})"));
     }
     let body = &lines[1..];
-    let mut events = Vec::new();
+    let mut events = Vec::with_capacity(body.len());
     for (i, line) in body.iter().enumerate() {
         match parse_event_line(line) {
             Ok(ev) => events.push(ev),
-            Err(_) if i + 1 == body.len() => return Ok((events, true)),
+            Err(_) if drop_torn_tail && i + 1 == body.len() => return Ok((events, true)),
             Err(e) => return Err(format!("journal line {}: {e}", i + 2)),
         }
     }

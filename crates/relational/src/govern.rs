@@ -156,11 +156,6 @@ impl BudgetMeter {
         }
         Ok(())
     }
-
-    /// Rows charged so far (approximate while workers are in flight).
-    pub fn rows_charged(&self) -> u64 {
-        self.rows.load(Ordering::Relaxed)
-    }
 }
 
 /// Stringify a caught panic payload for embedding in

@@ -3,7 +3,6 @@
 //! geometry matches the rasterizer's conventions (shape extents in world
 //! units, text at fixed pixel size).
 
-use crate::font;
 use crate::scene::Scene;
 use crate::viewport::Viewport;
 use std::fmt::Write as _;
@@ -123,12 +122,6 @@ pub fn write_svg(
     path: impl AsRef<std::path::Path>,
 ) -> std::io::Result<()> {
     std::fs::write(path, scene_to_svg(scene, vp))
-}
-
-/// Extent helper re-exported for callers sizing labels consistently with
-/// the rasterizer.
-pub fn text_extent_px(s: &str, scale: u32) -> (u32, u32) {
-    font::text_extent(s, scale)
 }
 
 #[cfg(test)]

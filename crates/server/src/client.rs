@@ -8,13 +8,13 @@
 //! after a torn connection, and request-id stamping so the server's
 //! duplicate suppression makes every retried command exactly-once.
 
-use crate::proto::{is_retryable, read_frame, stamp_rid, write_frame, Reply};
-use std::io::{self, BufReader};
+use crate::proto::{is_retryable, stamp_rid, write_frame, FrameEvent, FrameReader, Reply};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 pub struct Client {
-    reader: BufReader<TcpStream>,
+    reader: FrameReader<TcpStream>,
     writer: TcpStream,
 }
 
@@ -31,16 +31,21 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(timeout)?;
         stream.set_write_timeout(timeout)?;
-        let reader = BufReader::new(stream.try_clone()?);
+        let reader = FrameReader::new(stream.try_clone()?);
         Ok(Client { reader, writer: stream })
     }
 
     /// Send one line; wait for its reply.
     pub fn send(&mut self, line: &str) -> io::Result<Reply> {
         write_frame(&mut self.writer, line)?;
-        match read_frame(&mut self.reader)? {
-            Some(payload) => Reply::decode(&payload),
-            None => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection")),
+        match self.reader.next_event()? {
+            FrameEvent::Frame(payload) => Reply::decode(&payload),
+            FrameEvent::Eof => {
+                Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection"))
+            }
+            FrameEvent::Idle => {
+                Err(io::Error::new(io::ErrorKind::TimedOut, "no reply before the deadline"))
+            }
         }
     }
 
@@ -330,5 +335,62 @@ mod tests {
         assert_ne!(a, b);
         assert!(a.starts_with('c') && b.starts_with('c'));
         assert!(a.split_whitespace().count() == 1, "sid must be one token: '{a}'");
+    }
+
+    /// Serve one connection on a loopback port: read the request frame,
+    /// then hand the socket to `reply`.  Returns the address to dial.
+    fn loopback(
+        reply: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = FrameReader::new(stream.try_clone().unwrap());
+            assert_eq!(reader.next_event().unwrap(), FrameEvent::Frame("stats".into()));
+            reply(stream);
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn reply_written_in_chunks_reassembles() {
+        let (addr, server) = loopback(|mut stream| {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &Reply::Ok("line1\nline2".into()).encode()).unwrap();
+            for chunk in wire.chunks(3) {
+                io::Write::write_all(&mut stream, chunk).unwrap();
+                io::Write::flush(&mut stream).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        let mut c = Client::connect_with(addr, Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(c.send("stats").unwrap(), Reply::Ok("line1\nline2".into()));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn silent_server_times_out_instead_of_hanging() {
+        let (addr, server) = loopback(|stream| {
+            // Never reply; hold the socket open until the client hangs up.
+            let mut reader = FrameReader::new(stream);
+            assert_eq!(reader.next_event().unwrap(), FrameEvent::Eof);
+        });
+        let mut c = Client::connect_with(addr, Some(Duration::from_millis(100))).unwrap();
+        let t0 = std::time::Instant::now();
+        let err = c.send("stats").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(t0.elapsed() < Duration::from_secs(5), "waited {:?}", t0.elapsed());
+        drop(c);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn server_closing_before_reply_is_unexpected_eof() {
+        let (addr, server) = loopback(drop);
+        let mut c = Client::connect_with(addr, Some(Duration::from_secs(10))).unwrap();
+        let err = c.send("stats").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        server.join().unwrap();
     }
 }

@@ -18,7 +18,7 @@
 //! preallocate.  Frames are capped at [`MAX_FRAME`] bytes; an oversized
 //! length is a protocol error, not an allocation.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bound on one frame's payload (16 MiB — a rendered ASCII table
@@ -86,36 +86,7 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one frame.  `Ok(None)` on clean EOF at a frame boundary.
-pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
-        return Ok(None);
-    }
-    // Accept exactly what `write_frame` emits: canonical ASCII digits —
-    // no sign, no whitespace padding, no leading zeros ("0" itself is
-    // canonical).  `trim().parse()` would also take " 5 ", "+5" and
-    // "005", silently admitting frames no conforming peer ever sends.
-    let digits = header.strip_suffix('\n').unwrap_or(&header);
-    let canonical = !digits.is_empty()
-        && digits.bytes().all(|b| b.is_ascii_digit())
-        && (digits == "0" || !digits.starts_with('0'));
-    let len: usize = if canonical { digits.parse().ok() } else { None }
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad frame length"))?;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too large"));
-    }
-    let mut payload = vec![0u8; len + 1];
-    io::Read::read_exact(r, &mut payload)?;
-    if payload.pop() != Some(b'\n') {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "missing frame terminator"));
-    }
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
-}
-
-/// What [`FrameReader::next`] observed on the socket.
+/// What [`FrameReader::next_event`] observed on the socket.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FrameEvent {
     /// One complete frame payload.
@@ -131,15 +102,16 @@ pub enum FrameEvent {
 // anything longer without a newline is not a frame header.
 const MAX_HEADER: usize = 20;
 
-/// Incremental frame reader for sockets with read deadlines.
+/// Incremental frame reader for sockets with read deadlines — the one
+/// frame parser, used by both the server's connection loop and
+/// [`crate::Client`].
 ///
-/// [`read_frame`] over a blocking `BufRead` hangs on a stalled peer and
-/// treats a timeout mid-frame the same as one between frames.  This
-/// reader owns the partial-frame state instead, so it can distinguish
-/// the two: a deadline at a frame boundary is [`FrameEvent::Idle`]
-/// (harmless — the connection loop uses it to poll shutdown flags), a
-/// deadline or EOF *mid-frame* is a structured error (torn frame), and
-/// byte-at-a-time or split writes reassemble transparently.
+/// The reader owns the partial-frame state, so it can tell a quiet peer
+/// from a stalled one: a deadline at a frame boundary is
+/// [`FrameEvent::Idle`] (harmless — the connection loop uses it to poll
+/// shutdown flags), a deadline or EOF *mid-frame* is a structured error
+/// (torn frame), and byte-at-a-time or split writes reassemble
+/// transparently.
 pub struct FrameReader<R: io::Read> {
     inner: R,
     buf: Vec<u8>,
@@ -198,8 +170,11 @@ impl<R: io::Read> FrameReader<R> {
             }
             return Ok(None);
         };
+        // Accept exactly what `write_frame` emits: canonical ASCII digits —
+        // no sign, no whitespace padding, no leading zeros ("0" itself is
+        // canonical).  `trim().parse()` would also take " 5 ", "+5" and
+        // "005", silently admitting frames no conforming peer ever sends.
         let digits = &self.buf[..nl];
-        // Same canonical-digits rule as `read_frame`.
         let canonical = !digits.is_empty()
             && digits.iter().all(|b| b.is_ascii_digit())
             && (digits == b"0" || digits[0] != b'0');
@@ -282,40 +257,10 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, "hello\nworld").unwrap();
         write_frame(&mut buf, "").unwrap();
-        let mut r = io::BufReader::new(&buf[..]);
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), "hello\nworld");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), "");
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn frame_errors() {
-        let mut r = io::BufReader::new(&b"zebra\n"[..]);
-        assert!(read_frame(&mut r).is_err());
-        let mut r = io::BufReader::new(&b"5\nab"[..]);
-        assert!(read_frame(&mut r).is_err(), "truncated payload");
-        let huge = format!("{}\n", MAX_FRAME + 1);
-        let mut r = io::BufReader::new(huge.as_bytes());
-        assert!(read_frame(&mut r).is_err(), "oversized frame rejected before allocation");
-    }
-
-    #[test]
-    fn frame_length_must_be_canonical() {
-        // Each of these parses under `trim().parse()` but is not a
-        // header `write_frame` can emit — all must be InvalidData.
-        for bad in [" 5 \n", "+5\n", "05\n", "005\n", " 0\n", "5 \n", "\n", "+0\n", "-0\n"] {
-            let input = format!("{bad}hello\n");
-            let mut r = io::BufReader::new(input.as_bytes());
-            let err = read_frame(&mut r).expect_err(&format!("{bad:?} accepted"));
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
-        }
-        // Canonical zero is still fine.
-        let mut r = io::BufReader::new(&b"0\n\n"[..]);
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), "");
-        // And a header without the trailing newline (EOF mid-header)
-        // stays an error, not a panic.
-        let mut r = io::BufReader::new(&b"12"[..]);
-        assert!(read_frame(&mut r).is_err());
+        let mut r = FrameReader::new(&buf[..]);
+        assert_eq!(r.next_event().unwrap(), FrameEvent::Frame("hello\nworld".into()));
+        assert_eq!(r.next_event().unwrap(), FrameEvent::Frame("".into()));
+        assert_eq!(r.next_event().unwrap(), FrameEvent::Eof, "clean EOF");
     }
 
     #[test]
@@ -413,15 +358,30 @@ mod tests {
         // Torn *header* (digits, no newline, then stall) is mid-frame.
         let mut r = scripted(vec![Some(b"12".to_vec()), None]);
         assert!(r.next_event().is_err());
+
+        // EOF mid-header and EOF mid-payload are torn frames too: an
+        // error, not a panic or a short frame.
+        for torn in [&b"12"[..], b"5\nab"] {
+            let err = FrameReader::new(torn).next_event().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{torn:?}");
+        }
     }
 
     #[test]
     fn frame_reader_rejects_bad_headers() {
-        for bad in [&b" 5 \nhello\n"[..], b"05\nhello\n", b"+5\nhello\n", b"zebra\n"] {
-            let mut r = scripted(vec![Some(bad.to_vec())]);
+        // Each of these parses under `trim().parse()` but is not a
+        // header `write_frame` can emit — all must be InvalidData.
+        for bad in
+            [" 5 \n", "+5\n", "05\n", "005\n", " 0\n", "5 \n", "\n", "+0\n", "-0\n", "zebra\n"]
+        {
+            let input = format!("{bad}hello\n");
+            let mut r = scripted(vec![Some(input.into_bytes())]);
             let err = r.next_event().unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
         }
+        // Canonical zero is still fine.
+        let mut r = FrameReader::new(&b"0\n\n"[..]);
+        assert_eq!(r.next_event().unwrap(), FrameEvent::Frame("".into()));
         // Oversized length refused before any allocation.
         let huge = format!("{}\n", MAX_FRAME + 1);
         let mut r = scripted(vec![Some(huge.into_bytes())]);

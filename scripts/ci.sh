@@ -12,8 +12,9 @@
 #       enabled so both code paths stay equivalent
 #   perfbench self-tests            — the interaction benchmark's own
 #       tests (it is a separate cargo project, perfbench/Cargo.toml)
-#   cargo clippy -D warnings        — workspace-wide lint, warnings are
-#       errors
+#   cargo clippy --all-targets -D warnings — workspace-wide lint of
+#       every target (libraries, binaries, tests, benches, examples),
+#       warnings are errors
 #   cargo bench obs_overhead        — observability + governance budgets:
 #       disabled recorder path < 2% of a warm render, recording +
 #       per-operator attribution < 5% and armed budget checks < 2% of a
@@ -56,7 +57,7 @@
 #       (the dead pid's lockfile must be reclaimed), and assert the
 #       recovered session replays byte-identical demand output; then
 #       SIGTERM the successor and assert it drains and exits 0
-#   figures + BENCH_figures.json    — regenerate every paper figure
+#   figures + out/BENCH_figures.json — regenerate every paper figure
 #       (includes the A8 crash/recover/diff of journal recovery, which
 #       arms its own fault plan and fails on any differing pixel, the
 #       A9 tiogad scaling ablation with its shared-snapshot memory
@@ -76,7 +77,7 @@ cargo build --release
 TIOGA2_THREADS=1 cargo test --workspace -q
 TIOGA2_THREADS=4 cargo test --workspace -q
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo bench -p tioga2-bench --bench obs_overhead
 cargo test -q --test chaos
 TIOGA2_FAULTS='scan:0=err' cargo test -q --test chaos env_fault_plan
@@ -174,7 +175,7 @@ grep -q "SIGTERM, draining" /tmp/tiogad_ci_kr_log2 || { echo "ci: tiogad never r
 grep -q "clean shutdown" /tmp/tiogad_ci_kr_log2 || { echo "ci: drained tiogad did not shut down cleanly" >&2; cat /tmp/tiogad_ci_kr_log2 >&2; exit 1; }
 
 cargo run --release -p tioga2-bench --bin figures
-test -s BENCH_figures.json || { echo "ci: BENCH_figures.json is missing or empty" >&2; exit 1; }
+test -s out/BENCH_figures.json || { echo "ci: out/BENCH_figures.json is missing or empty" >&2; exit 1; }
 for key in a5_plan_pushdown a6_parallel_scaling_t1 a6_parallel_scaling_t2 \
            a6_parallel_scaling_t4 a7_self_monitoring a8_journal_recovery \
            a9_server_scaling_s1 a9_server_scaling_s4 a9_server_scaling_s16 \
@@ -186,8 +187,8 @@ for key in a5_plan_pushdown a6_parallel_scaling_t1 a6_parallel_scaling_t2 \
            a12_recovery_1sessions a12_recovery_4sessions \
            a12_recovery_16sessions a12_recovery_64sessions \
            a12_fsync_off a12_fsync_on; do
-    grep -q "\"$key\"" BENCH_figures.json \
-        || { echo "ci: BENCH_figures.json is missing '$key'" >&2; exit 1; }
+    grep -q "\"$key\"" out/BENCH_figures.json \
+        || { echo "ci: out/BENCH_figures.json is missing '$key'" >&2; exit 1; }
 done
 
 echo "ci: no tracked out/ + fmt + build + workspace tests (1 and 4 workers) + perfbench tests + clippy + budgets + chaos + kill-recover + fleet-chaos + governed suite + self-monitor + tiogad smoke + kill-restart smoke + figures all green"

@@ -214,7 +214,7 @@ proptest! {
             AggSpec::of(AggFunc::Max, "v", "hi"),
             AggSpec::of(AggFunc::Avg, "k", "ak"),
         ];
-        let keys = if spec_seed % 2 == 0 { vec!["s".to_string()] } else { vec![] };
+        let keys = if spec_seed.is_multiple_of(2) { vec!["s".to_string()] } else { vec![] };
         let mut g = Graph::new();
         let t = g.add(BoxKind::Table("T".into()));
         let a = g.add(BoxKind::rel(RelOpKind::Aggregate { keys, aggs }));

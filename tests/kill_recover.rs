@@ -118,7 +118,9 @@ fn site_pool(coord: u64) -> Vec<String> {
 /// Everything recovery must reproduce: per-canvas framebuffer bytes,
 /// per-canvas demand results (serialized relations), and the non-sys
 /// catalog.
-fn fingerprint(s: &mut Session) -> (Vec<(String, Vec<u8>)>, Vec<String>, Vec<(String, String)>) {
+type Fingerprint = (Vec<(String, Vec<u8>)>, Vec<String>, Vec<(String, String)>);
+
+fn fingerprint(s: &mut Session) -> Fingerprint {
     let mut frames = Vec::new();
     let mut demands = Vec::new();
     for c in s.canvas_names() {

@@ -149,7 +149,7 @@ proptest! {
             let naive = text(engine(&rel, 1).0.demand_displayable(&g, r, 0).unwrap());
             for threads in [1usize, 2, 8] {
                 let (mut e, rec) = engine(&rel, threads);
-                let planned = text(e.demand_displayable_planned(&g, r, 0).unwrap());
+                let planned = text(e.demand_planned(&g, r, 0).unwrap().into_displayable().unwrap());
                 prop_assert_eq!(&naive, &planned);
                 prop_assert_eq!(rec.counter("plan.window_index.probes"), Some(1));
                 if always_indexed {
@@ -203,7 +203,7 @@ fn self_join_keeps_the_unwindowed_side_whole() {
     assert_eq!(naive.len(), 516, "each of the 9 window rows meets its whole d class");
     for threads in [1usize, 2, 8] {
         let (mut e, rec) = engine(&rel, threads);
-        assert_eq!(naive, rows(e.demand_displayable_planned(&g, j, 0).unwrap()));
+        assert_eq!(naive, rows(e.demand_planned(&g, j, 0).unwrap().into_displayable().unwrap()));
         assert_eq!(rec.counter("plan.window_index.probes"), None);
     }
 }
@@ -217,7 +217,7 @@ fn wide_window_falls_back_without_building_the_grid() {
     let (mut e, rec) = engine(&rel, 1);
     let demand = |e: &mut Engine, lo: f64, hi: f64| {
         let (g, r) = restricted(and(range("x", 0.0, lo, hi), range("y", 0.0, lo, hi)));
-        let planned = text(e.demand_displayable_planned(&g, r, 0).unwrap());
+        let planned = text(e.demand_planned(&g, r, 0).unwrap().into_displayable().unwrap());
         let naive = text(engine(&rel, 1).0.demand_displayable(&g, r, 0).unwrap());
         assert_eq!(planned, naive);
     };
